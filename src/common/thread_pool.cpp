@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -139,7 +138,11 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   const std::size_t chunks = std::min(workers, n);
   const std::size_t base = n / chunks;
   const std::size_t rem = n % chunks;
-  std::atomic<std::size_t> done{0};
+  // `done` is guarded by `m`: the caller may return and destroy `m` and
+  // `cv` as soon as it sees the last increment, so that increment and the
+  // notify must both happen under the lock, after which a worker touches
+  // neither again.
+  std::size_t done = 0;
   std::mutex m;
   std::condition_variable cv;
   std::exception_ptr first_error;
@@ -161,15 +164,15 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
           first_error = std::current_exception();
         }
       }
-      if (done.fetch_add(1) + 1 == chunks) {
-        const std::lock_guard<std::mutex> lock(m);
+      const std::lock_guard<std::mutex> lock(m);
+      if (++done == chunks) {
         cv.notify_one();
       }
     });
     lo = hi;
   }
   std::unique_lock<std::mutex> lock(m);
-  cv.wait(lock, [&] { return done.load() == chunks; });
+  cv.wait(lock, [&] { return done == chunks; });
   if (first_error) {
     std::rethrow_exception(first_error);
   }

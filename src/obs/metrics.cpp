@@ -1,5 +1,8 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -8,44 +11,145 @@
 
 namespace dlsr::obs {
 
+namespace {
+
+void atomic_min(std::atomic<double>& a, double v) {
+  double cur = a.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
+void atomic_max(std::atomic<double>& a, double v) {
+  double cur = a.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
+using BucketCounts = std::array<std::uint64_t, Histogram::kBucketCount>;
+
+/// Read-back value of bucket `b`: the midpoint of its sub-bucket (0 for
+/// the non-positive bucket).
+double bucket_midpoint(std::size_t b) {
+  if (b == 0) {
+    return 0.0;
+  }
+  const std::size_t i = b - 1;
+  const int exponent =
+      Histogram::kMinExponent + static_cast<int>(i / Histogram::kSubBuckets);
+  const double sub = static_cast<double>(i % Histogram::kSubBuckets) + 0.5;
+  return std::ldexp(1.0 + sub / Histogram::kSubBuckets, exponent);
+}
+
+/// The sample of 0-based rank `r` among `n`, as the buckets resolve it.
+/// The extreme ranks are the exact min and max.
+double value_at_rank(const BucketCounts& counts, std::uint64_t n,
+                     std::uint64_t r, double min, double max) {
+  if (r == 0) {
+    return min;
+  }
+  if (r + 1 >= n) {
+    return max;
+  }
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    seen += counts[b];
+    if (seen > r) {
+      return std::clamp(bucket_midpoint(b), min, max);
+    }
+  }
+  return max;
+}
+
+/// dlsr::percentile's interpolation between neighbouring order statistics,
+/// with each order statistic read from the buckets.
+double quantile(const BucketCounts& counts, std::uint64_t n, double min,
+                double max, double p) {
+  const double idx = p * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::uint64_t>(idx);
+  const std::uint64_t hi = std::min(lo + 1, n - 1);
+  const double frac = idx - static_cast<double>(lo);
+  return value_at_rank(counts, n, lo, min, max) * (1.0 - frac) +
+         value_at_rank(counts, n, hi, min, max) * frac;
+}
+
+}  // namespace
+
+std::size_t Histogram::bucket_index(double v) {
+  if (!(v > 0.0)) {
+    return 0;  // zero, negative or NaN
+  }
+  // The exponent field picks the octave and the top kSubBucketBits
+  // mantissa bits the linear slot within it (the sign bit is 0 here).
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const int exponent = static_cast<int>(bits >> 52) - 1023;
+  if (exponent < kMinExponent) {
+    return 1;  // includes subnormals
+  }
+  if (exponent >= kMaxExponent) {
+    return kBucketCount - 1;  // includes +inf
+  }
+  const auto sub = static_cast<std::size_t>(bits >> (52 - kSubBucketBits)) &
+                   (kSubBuckets - 1);
+  return 1 + static_cast<std::size_t>(exponent - kMinExponent) * kSubBuckets +
+         sub;
+}
+
 void Histogram::observe(double v) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  samples_.push_back(v);
-  stats_.add(v);
+  // The scalars first, then the buckets with release: a snapshot that
+  // counts this sample (acquire) also sees its sum/min/max. Sketch bucket
+  // before export bucket, because snapshot() reads them the other way round.
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  atomic_min(min_, v);
+  atomic_max(max_, v);
+  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_release);
+  export_buckets_[histogram_bucket_index(v)].fetch_add(
+      1, std::memory_order_release);
+  count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Histogram::observe(double v, std::uint64_t exemplar_trace_id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  samples_.push_back(v);
-  stats_.add(v);
+  // Exemplar before the counts, so a snapshot that sees the sample's
+  // export bucket occupied also sees its exemplar.
   if (exemplar_trace_id != 0) {
+    const std::lock_guard<std::mutex> lock(exemplar_mutex_);
     exemplars_[histogram_bucket_index(v)] = Exemplar{exemplar_trace_id, v};
   }
+  observe(v);
 }
 
 std::size_t Histogram::count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return samples_.size();
+  return static_cast<std::size_t>(count_.load(std::memory_order_relaxed));
 }
 
 HistogramSnapshot Histogram::snapshot() const {
-  std::vector<double> samples;
   HistogramSnapshot snap;
+  for (std::size_t i = 0; i < kExportBuckets; ++i) {
+    snap.buckets[i] = static_cast<std::size_t>(
+        export_buckets_[i].load(std::memory_order_acquire));
+  }
+  BucketCounts counts{};
+  std::uint64_t n = 0;
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    counts[b] = buckets_[b].load(std::memory_order_acquire);
+    n += counts[b];
+  }
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    samples = samples_;
-    snap.count = stats_.count();
-    snap.mean = stats_.mean();
-    snap.min = stats_.min();
-    snap.max = stats_.max();
+    const std::lock_guard<std::mutex> lock(exemplar_mutex_);
     snap.exemplars = exemplars_;
   }
-  for (const double v : samples) {
-    ++snap.buckets[histogram_bucket_index(v)];
+  snap.count = static_cast<std::size_t>(n);
+  if (n == 0) {
+    return snap;
   }
-  snap.p50 = percentile(samples, 0.50);
-  snap.p95 = percentile(samples, 0.95);
-  snap.p99 = percentile(std::move(samples), 0.99);
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.mean = snap.sum / static_cast<double>(n);
+  snap.min = min_.load(std::memory_order_relaxed);
+  snap.max = max_.load(std::memory_order_relaxed);
+  snap.p50 = quantile(counts, n, snap.min, snap.max, 0.50);
+  snap.p95 = quantile(counts, n, snap.min, snap.max, 0.95);
+  snap.p99 = quantile(counts, n, snap.min, snap.max, 0.99);
   return snap;
 }
 
@@ -224,8 +328,7 @@ std::string MetricsRegistry::to_prometheus() const {
                    static_cast<unsigned long long>(e.trace_id), e.value);
     }
     os << "\n";
-    os << p << "_sum " << strfmt("%.6g", s.mean * static_cast<double>(s.count))
-       << "\n";
+    os << p << "_sum " << strfmt("%.6g", s.sum) << "\n";
     os << p << "_count " << strfmt("%zu", s.count) << "\n";
   }
   return os.str();
@@ -255,17 +358,10 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::gauge_values()
 
 std::vector<std::pair<std::string, std::size_t>>
 MetricsRegistry::histogram_counts() const {
-  std::vector<std::pair<std::string, std::shared_ptr<Histogram>>> hists;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    hists.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      hists.emplace_back(name, h);
-    }
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<std::string, std::size_t>> out;
-  out.reserve(hists.size());
-  for (const auto& [name, h] : hists) {
+  out.reserve(histograms_.size());
+  for (const auto& [name, h] : histograms_) {
     out.emplace_back(name, h->count());
   }
   return out;

@@ -3,8 +3,9 @@
 // Three instrument kinds, all thread-safe:
 //   Counter   — monotonically increasing integer (atomic add).
 //   Gauge     — last-set floating-point value (atomic store).
-//   Histogram — sample distribution; snapshot() computes count/mean/min/max
-//               and p50/p95/p99 via common/stats percentile().
+//   Histogram — bounded sample distribution: fixed log-linear buckets with
+//               atomic counts; snapshot() reads count/mean/min/max exactly
+//               and p50/p95/p99 within Histogram::kRelativeError.
 //
 // A MetricsRegistry maps names ("serve/latency_ms") to shared instruments
 // and exports everything as a JSON object or Prometheus text. Subsystems
@@ -21,15 +22,15 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/stats.hpp"
 
 namespace dlsr::obs {
 
@@ -57,7 +58,7 @@ class Gauge {
 
 /// Fixed log-spaced export-bucket upper bounds (inclusive, "le" semantics).
 /// Samples above the last bound land in an overflow bucket, so a snapshot
-/// can be re-aggregated offline without the raw sample vector. One shared
+/// can be re-aggregated offline without the raw samples. One shared
 /// ladder covers every unit the registry holds (ms, counts, ratios).
 inline constexpr std::array<double, 12> kHistogramBucketBounds = {
     0.001, 0.01, 0.1, 0.5, 1.0,   5.0,
@@ -74,6 +75,7 @@ struct Exemplar {
 
 struct HistogramSnapshot {
   std::size_t count = 0;
+  double sum = 0.0;
   double mean = 0.0;
   double min = 0.0;
   double max = 0.0;
@@ -98,20 +100,57 @@ inline std::size_t histogram_bucket_index(double v) {
   return kHistogramBucketBounds.size();  // overflow
 }
 
+/// Bounded, lock-free sample distribution (HDR-histogram style). A positive
+/// sample lands in one of kSubBuckets linear slots of its power-of-two
+/// octave, found from the double's exponent and top mantissa bits; zero,
+/// negative and NaN samples share bucket 0. Memory is fixed (~30 KiB) no
+/// matter how many samples arrive, observe() is a handful of atomic
+/// updates, and snapshot() costs O(buckets).
+///
+/// count, sum, min and max are exact. A quantile reads back as the
+/// midpoint of the bucket holding that rank, clamped to [min, max], so for
+/// samples in [2^kMinExponent, 2^kMaxExponent) it is within
+/// kRelativeError of the order statistic dlsr::percentile would pick;
+/// values outside that range clamp to the end buckets.
 class Histogram {
  public:
+  static constexpr int kSubBucketBits = 6;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+  /// Half a sub-bucket's width relative to its lower edge: 2^-7 = 0.78 %.
+  static constexpr double kRelativeError = 1.0 / (2.0 * kSubBuckets);
+  static constexpr int kMinExponent = -20;  // 2^-20 ~ 9.5e-7
+  static constexpr int kMaxExponent = 40;   // 2^40 ~ 1.1e12
+  static constexpr std::size_t kBucketCount =
+      1 + static_cast<std::size_t>(kMaxExponent - kMinExponent) * kSubBuckets;
+
+  /// Bucket of a sample: 0 for v <= 0 or NaN, else 1 + octave * kSubBuckets
+  /// + sub-bucket, clamped to the tracked range.
+  static std::size_t bucket_index(double v);
+
   void observe(double v);
   /// observe() plus an exemplar: remembers `exemplar_trace_id` as the last
-  /// traced sample of v's bucket (ignored when the id is 0).
+  /// traced sample of v's export bucket (ignored when the id is 0). Only
+  /// this overload takes a lock, and only when the id is non-zero.
   void observe(double v, std::uint64_t exemplar_trace_id);
+  /// Samples observed so far (one atomic load).
   std::size_t count() const;
+  /// count equals the sum of the bucket counts the snapshot read; under
+  /// concurrent observe() the export buckets never count more than that.
   HistogramSnapshot snapshot() const;
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<double> samples_;
-  std::array<Exemplar, kHistogramBucketBounds.size() + 1> exemplars_{};
-  RunningStats stats_;
+  static constexpr std::size_t kExportBuckets =
+      kHistogramBucketBounds.size() + 1;
+
+  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
+  std::array<std::atomic<std::uint64_t>, kExportBuckets> export_buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+
+  mutable std::mutex exemplar_mutex_;
+  std::array<Exemplar, kExportBuckets> exemplars_{};
 };
 
 class MetricsRegistry {
@@ -146,8 +185,8 @@ class MetricsRegistry {
   /// telemetry sampler's feed into TimeSeriesStore. Sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
   std::vector<std::pair<std::string, double>> gauge_values() const;
-  /// Histogram names with their total observation counts (cheap: no
-  /// snapshot; the sampler turns count deltas into rates).
+  /// Histogram names with their total observation counts (one atomic load
+  /// each, no snapshot; the sampler turns count deltas into rates).
   std::vector<std::pair<std::string, std::size_t>> histogram_counts() const;
 
   /// Writes to_json() to a file (throws dlsr::Error on failure).

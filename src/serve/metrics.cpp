@@ -37,8 +37,8 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 ServerMetrics::ServerMetrics(std::size_t max_batch,
-                             obs::MetricsRegistry* registry) {
-  counts_.batch_hist.assign(std::max<std::size_t>(max_batch, 1), 0);
+                             obs::MetricsRegistry* registry)
+    : batch_hist_(std::max<std::size_t>(max_batch, 1)) {
   auto& reg = registry ? *registry : obs::MetricsRegistry::global();
   requests_c_ = reg.make_counter("serve/requests");
   completed_c_ = reg.make_counter("serve/completed");
@@ -53,38 +53,19 @@ ServerMetrics::ServerMetrics(std::size_t max_batch,
   batch_size_h_ = reg.make_histogram("serve/batch_size");
 }
 
-void ServerMetrics::on_request() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_.requests;
-  requests_c_->add(1);
-}
+void ServerMetrics::on_request() { requests_c_->add(1); }
 
-void ServerMetrics::on_rejected() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_.rejected;
-  rejected_c_->add(1);
-}
+void ServerMetrics::on_rejected() { rejected_c_->add(1); }
 
-void ServerMetrics::on_timed_out() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_.timed_out;
-  timed_out_c_->add(1);
-}
+void ServerMetrics::on_timed_out() { timed_out_c_->add(1); }
 
-void ServerMetrics::on_cache_hit() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_.cache_hits;
-  cache_hits_c_->add(1);
-}
+void ServerMetrics::on_cache_hit() { cache_hits_c_->add(1); }
 
 void ServerMetrics::on_batch(std::size_t batch_size) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_.batches;
-  counts_.tiles += batch_size;
+  tiles_.fetch_add(batch_size, std::memory_order_relaxed);
   if (batch_size >= 1) {
-    const std::size_t slot =
-        std::min(batch_size, counts_.batch_hist.size()) - 1;
-    ++counts_.batch_hist[slot];
+    const std::size_t slot = std::min(batch_size, batch_hist_.size()) - 1;
+    batch_hist_[slot].fetch_add(1, std::memory_order_relaxed);
   }
   batches_c_->add(1);
   batch_size_h_->observe(static_cast<double>(batch_size));
@@ -92,58 +73,64 @@ void ServerMetrics::on_batch(std::size_t batch_size) {
 
 void ServerMetrics::on_complete(double latency_seconds,
                                 std::uint64_t trace_id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_.completed;
   const double ms = latency_seconds * 1e3;
-  latencies_ms_.push_back(ms);
-  latency_stats_.add(ms);
-  completed_c_->add(1);
   latency_h_->observe(ms, trace_id);
+  completed_c_->add(1);
   // Rolling series for live p99 / SLO rules (no-op without a telemetry
   // plane attached).
   obs::TimeSeriesStore::global().observe("serve/latency_ms", ms);
 }
 
 void ServerMetrics::on_queue_wait(double wait_seconds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   const double ms = wait_seconds * 1e3;
-  queue_waits_ms_.push_back(ms);
   queue_wait_h_->observe(ms);
   obs::TimeSeriesStore::global().observe("serve/queue_wait_ms", ms);
 }
 
 void ServerMetrics::on_forward(double forward_seconds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const double ms = forward_seconds * 1e3;
-  forwards_ms_.push_back(ms);
-  forward_h_->observe(ms);
+  forward_h_->observe(forward_seconds * 1e3);
 }
 
 void ServerMetrics::on_queue_depth(std::size_t depth) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  counts_.queue_depth = depth;
-  counts_.queue_peak = std::max(counts_.queue_peak, depth);
   queue_depth_g_->set(static_cast<double>(depth));
+  std::size_t peak = queue_peak_.load(std::memory_order_relaxed);
+  while (depth > peak && !queue_peak_.compare_exchange_weak(
+                             peak, depth, std::memory_order_relaxed)) {
+  }
 }
 
 MetricsSnapshot ServerMetrics::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  MetricsSnapshot snap = counts_;
-  snap.mean_batch =
-      counts_.batches ? static_cast<double>(counts_.tiles) /
-                            static_cast<double>(counts_.batches)
-                      : 0.0;
-  snap.latency_p50_ms = percentile(latencies_ms_, 0.50);
-  snap.latency_p95_ms = percentile(latencies_ms_, 0.95);
-  snap.latency_p99_ms = percentile(latencies_ms_, 0.99);
-  snap.latency_mean_ms = latency_stats_.mean();
-  snap.latency_max_ms = latency_stats_.max();
-  snap.queue_wait_p50_ms = percentile(queue_waits_ms_, 0.50);
-  snap.queue_wait_p95_ms = percentile(queue_waits_ms_, 0.95);
-  snap.queue_wait_p99_ms = percentile(queue_waits_ms_, 0.99);
-  snap.forward_p50_ms = percentile(forwards_ms_, 0.50);
-  snap.forward_p95_ms = percentile(forwards_ms_, 0.95);
-  snap.forward_p99_ms = percentile(forwards_ms_, 0.99);
+  MetricsSnapshot snap;
+  snap.requests = requests_c_->value();
+  snap.completed = completed_c_->value();
+  snap.rejected = rejected_c_->value();
+  snap.timed_out = timed_out_c_->value();
+  snap.cache_hits = cache_hits_c_->value();
+  snap.batches = batches_c_->value();
+  snap.tiles = tiles_.load(std::memory_order_relaxed);
+  snap.queue_depth = static_cast<std::size_t>(queue_depth_g_->value());
+  snap.queue_peak = queue_peak_.load(std::memory_order_relaxed);
+  snap.batch_hist.reserve(batch_hist_.size());
+  for (const auto& n : batch_hist_) {
+    snap.batch_hist.push_back(n.load(std::memory_order_relaxed));
+  }
+  snap.mean_batch = snap.batches ? static_cast<double>(snap.tiles) /
+                                       static_cast<double>(snap.batches)
+                                 : 0.0;
+  const obs::HistogramSnapshot latency = latency_h_->snapshot();
+  snap.latency_p50_ms = latency.p50;
+  snap.latency_p95_ms = latency.p95;
+  snap.latency_p99_ms = latency.p99;
+  snap.latency_mean_ms = latency.mean;
+  snap.latency_max_ms = latency.max;
+  const obs::HistogramSnapshot wait = queue_wait_h_->snapshot();
+  snap.queue_wait_p50_ms = wait.p50;
+  snap.queue_wait_p95_ms = wait.p95;
+  snap.queue_wait_p99_ms = wait.p99;
+  const obs::HistogramSnapshot forward = forward_h_->snapshot();
+  snap.forward_p50_ms = forward.p50;
+  snap.forward_p95_ms = forward.p95;
+  snap.forward_p99_ms = forward.p99;
   return snap;
 }
 

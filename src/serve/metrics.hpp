@@ -1,29 +1,27 @@
-// Serving metrics registry: the counters and latency distributions an SLO
-// dashboard needs. All mutators are thread-safe and cheap (one mutex, a few
-// scalar updates); percentile computation is deferred to snapshot().
-//
-// Every instrument is additionally mirrored into an obs::MetricsRegistry
+// Serving metrics: the counters and latency distributions an SLO dashboard
+// needs. ServerMetrics is a view over instruments in an obs::MetricsRegistry
 // (the process-global one by default) under "serve/..." names, so server
 // metrics show up in --metrics-out JSON and Prometheus exports alongside
-// training metrics. The mirror is write-through: snapshot() is still
-// computed from the internal state, never from the registry.
+// training metrics, and snapshot() reads the very same instruments. Every
+// mutator is a few atomic updates; memory stays fixed however many requests
+// the server handles.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "obs/metrics.hpp"
 
 namespace dlsr::serve {
 
-/// Point-in-time copy of every served metric. Latency percentiles are
-/// computed over all completed requests (cache hits included — a hit is a
-/// served request too).
+/// Point-in-time copy of every served metric. Latency percentiles cover all
+/// completed requests (cache hits included — a hit is a served request too)
+/// and are read from the registry histograms, so they carry
+/// obs::Histogram::kRelativeError; counts, means and maxima are exact.
 struct MetricsSnapshot {
   std::uint64_t requests = 0;    ///< submitted (admitted or not)
   std::uint64_t completed = 0;   ///< finished OK (incl. cache hits)
@@ -82,16 +80,9 @@ class ServerMetrics {
   MetricsSnapshot snapshot() const;
 
  private:
-  mutable std::mutex mutex_;
-  MetricsSnapshot counts_;             // counters only; percentiles filled
-  std::vector<double> latencies_ms_;   // per-completion samples
-  std::vector<double> queue_waits_ms_;
-  std::vector<double> forwards_ms_;
-  RunningStats latency_stats_;
-
-  // Write-through mirrors in the obs registry (serve/* namespace). The
-  // newest ServerMetrics instance owns the canonical names (make_*), so a
-  // restarted server does not accumulate into its predecessor's series.
+  // The newest ServerMetrics instance owns the canonical registry names
+  // (make_*), so a restarted server does not accumulate into its
+  // predecessor's series.
   std::shared_ptr<obs::Counter> requests_c_;
   std::shared_ptr<obs::Counter> completed_c_;
   std::shared_ptr<obs::Counter> rejected_c_;
@@ -103,6 +94,11 @@ class ServerMetrics {
   std::shared_ptr<obs::Histogram> queue_wait_h_;
   std::shared_ptr<obs::Histogram> forward_h_;
   std::shared_ptr<obs::Histogram> batch_size_h_;
+
+  // Not exported to the registry.
+  std::atomic<std::uint64_t> tiles_{0};
+  std::atomic<std::size_t> queue_peak_{0};
+  std::vector<std::atomic<std::uint64_t>> batch_hist_;
 };
 
 }  // namespace dlsr::serve

@@ -1,6 +1,7 @@
 // Tests for dlsr::obs — the span tracer (JSON validity, nesting under
 // concurrent producers, ring-buffer overwrite, disabled-path inertness),
-// the metrics registry (percentiles vs common/stats, exports, rebinding),
+// the metrics registry (bucketed percentiles within their stated bound of
+// common/stats, exact concurrent counts, exports, rebinding),
 // the trace parser/summary, and the end-to-end training pipeline producing
 // spans from core, hvd, and mpisim plus step-phase histograms.
 #include <gtest/gtest.h>
@@ -8,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -179,24 +182,140 @@ TEST(Tracer, ExplicitTimestampEventsLandOnSimPid) {
   EXPECT_DOUBLE_EQ(it->dur_us, 250.0);
 }
 
-TEST(Metrics, HistogramPercentilesMatchCommonStats) {
-  Histogram hist;
-  std::vector<double> samples;
-  Rng rng(42);
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.uniform() * 100.0;
-    samples.push_back(v);
-    hist.observe(v);
+// The bucketed histogram trades exact percentiles for bounded memory: each
+// quantile must land within Histogram::kRelativeError of the two order
+// statistics dlsr::percentile interpolates between.
+TEST(Metrics, HistogramPercentilesWithinBoundOfCommonStats) {
+  const double eps = Histogram::kRelativeError;
+  ASSERT_LE(eps, 0.01);
+  enum class Shape { Uniform, LogNormal, Constant, ZeroHeavy };
+  for (const Shape shape :
+       {Shape::Uniform, Shape::LogNormal, Shape::Constant, Shape::ZeroHeavy}) {
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      for (const std::size_t n : {1u, 2u, 37u, 2000u}) {
+        Rng rng(seed);
+        Histogram hist;
+        std::vector<double> samples;
+        for (std::size_t i = 0; i < n; ++i) {
+          double v = 0.0;
+          switch (shape) {
+            case Shape::Uniform:
+              v = rng.uniform() * 100.0;
+              break;
+            case Shape::LogNormal:
+              v = std::exp(rng.normal(0.0, 2.0));
+              break;
+            case Shape::Constant:
+              v = 3.7;
+              break;
+            case Shape::ZeroHeavy:
+              v = rng.uniform() < 0.8 ? 0.0 : rng.uniform(0.5, 50.0);
+              break;
+          }
+          samples.push_back(v);
+          hist.observe(v);
+        }
+        const HistogramSnapshot snap = hist.snapshot();
+        const std::string where = strfmt(
+            "shape %d seed %llu n %zu", static_cast<int>(shape),
+            static_cast<unsigned long long>(seed), n);
+        ASSERT_EQ(snap.count, n) << where;
+        std::vector<double> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(snap.min, sorted.front()) << where;
+        EXPECT_EQ(snap.max, sorted.back()) << where;
+        for (const auto& [p, got] : {std::pair{0.50, snap.p50},
+                                     std::pair{0.95, snap.p95},
+                                     std::pair{0.99, snap.p99}}) {
+          const double idx = p * static_cast<double>(n - 1);
+          const auto lo = static_cast<std::size_t>(idx);
+          const std::size_t hi = std::min(lo + 1, n - 1);
+          EXPECT_GE(got, sorted[lo] * (1.0 - eps)) << where << " p " << p;
+          EXPECT_LE(got, sorted[hi] * (1.0 + eps)) << where << " p " << p;
+        }
+      }
+    }
   }
+}
+
+TEST(Metrics, HistogramConcurrentObserveIsExact) {
+  Histogram hist;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, t] {
+      // Small integers: every partial sum is exact in a double, so the
+      // total does not depend on how the threads interleave. Thread 0
+      // attaches exemplars, which is the one path that takes a lock.
+      for (int i = 0; i < kPerThread; ++i) {
+        const double v = static_cast<double>(1 + (i + t) % 100);
+        if (t == 0) {
+          hist.observe(v, static_cast<std::uint64_t>(i + 1));
+        } else {
+          hist.observe(v);
+        }
+      }
+    });
+  }
+  // A scraper racing the writers: each snapshot's export buckets never
+  // count more samples than the snapshot's count, and min <= max.
+  std::atomic<bool> writers_done{false};
+  std::atomic<int> torn{0};
+  std::thread scraper([&] {
+    while (!writers_done.load()) {
+      const HistogramSnapshot s = hist.snapshot();
+      std::size_t exported = 0;
+      for (const std::size_t c : s.buckets) {
+        exported += c;
+      }
+      if (exported > s.count || (s.count > 0 && s.min > s.max)) {
+        torn.fetch_add(1);
+      }
+    }
+  });
+  for (auto& th : threads) {
+    th.join();
+  }
+  writers_done.store(true);
+  scraper.join();
+  EXPECT_EQ(torn.load(), 0);
   const HistogramSnapshot snap = hist.snapshot();
-  EXPECT_EQ(snap.count, samples.size());
-  EXPECT_DOUBLE_EQ(snap.p50, percentile(samples, 0.50));
-  EXPECT_DOUBLE_EQ(snap.p95, percentile(samples, 0.95));
-  EXPECT_DOUBLE_EQ(snap.p99, percentile(samples, 0.99));
-  EXPECT_DOUBLE_EQ(snap.min, *std::min_element(samples.begin(),
-                                               samples.end()));
-  EXPECT_DOUBLE_EQ(snap.max, *std::max_element(samples.begin(),
-                                               samples.end()));
+  const std::size_t total = static_cast<std::size_t>(kThreads) * kPerThread;
+  EXPECT_EQ(hist.count(), total);
+  EXPECT_EQ(snap.count, total);
+  std::size_t bucket_sum = 0;
+  for (const std::size_t c : snap.buckets) {
+    bucket_sum += c;
+  }
+  EXPECT_EQ(bucket_sum, snap.count);
+  EXPECT_EQ(snap.min, 1.0);
+  EXPECT_EQ(snap.max, 100.0);
+  EXPECT_EQ(snap.sum, 50.5 * static_cast<double>(total));
+  EXPECT_EQ(snap.mean, 50.5);
+}
+
+TEST(Metrics, HistogramBucketIndexCoversRangeAndClamps) {
+  EXPECT_EQ(Histogram::bucket_index(0.0), 0u);
+  EXPECT_EQ(Histogram::bucket_index(-3.0), 0u);
+  EXPECT_EQ(Histogram::bucket_index(std::nan("")), 0u);
+  EXPECT_EQ(Histogram::bucket_index(1e-300), 1u);
+  EXPECT_EQ(Histogram::bucket_index(std::ldexp(1.0, Histogram::kMinExponent)),
+            1u);
+  EXPECT_EQ(Histogram::bucket_index(1e300), Histogram::kBucketCount - 1);
+  EXPECT_EQ(Histogram::bucket_index(
+                std::numeric_limits<double>::infinity()),
+            Histogram::kBucketCount - 1);
+  // Monotone in the value, and a bucket's neighbours differ by at most
+  // one sub-bucket width.
+  std::size_t prev = Histogram::bucket_index(1e-6);
+  for (double v = 1e-6; v < 1e12; v *= 1.003) {
+    const std::size_t b = Histogram::bucket_index(v);
+    EXPECT_GE(b, prev) << v;
+    EXPECT_LE(b, prev + 1) << v;
+    prev = b;
+  }
+  EXPECT_LE(sizeof(Histogram), 32u * 1024u);
 }
 
 TEST(Metrics, RegistryExportsJsonAndPrometheus) {

@@ -529,7 +529,11 @@ TEST(ServerMetrics, SnapshotAndJson) {
   EXPECT_EQ(snap.queue_depth, 2u);
   EXPECT_EQ(snap.queue_peak, 5u);
   EXPECT_DOUBLE_EQ(snap.mean_batch, 3.0);
-  EXPECT_NEAR(snap.latency_p50_ms, 20.0, 1e-9);
+  // Bucketed percentile: between the two order statistics 10 and 30 ms,
+  // widened by the histogram's stated relative error.
+  const double eps = obs::Histogram::kRelativeError;
+  EXPECT_GE(snap.latency_p50_ms, 10.0 * (1.0 - eps));
+  EXPECT_LE(snap.latency_p50_ms, 30.0 * (1.0 + eps));
   EXPECT_NEAR(snap.latency_max_ms, 30.0, 1e-9);
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"requests\":2"), std::string::npos);
