@@ -1,12 +1,11 @@
 // Minimal JSON document model + strict recursive-descent parser.
 //
-// The observability tier reads its own artifacts back: `dlsr perf-compare`
-// loads two bench result envelopes, `dlsr analyze` cross-checks metric
-// exports, and tests assert on exporter output. Those consumers need random
-// access into nested objects, which the streaming trace-event reader in
-// obs/trace_summary deliberately does not provide. This is the DOM
-// counterpart: parse() builds a Value tree for any valid JSON document and
-// throws dlsr::Error (with byte offset) on malformed input.
+// The one JSON reader in the repo. The observability tier reads its own
+// artifacts back through it: trace files (obs::parse_trace_events), bench
+// result envelopes (`dlsr perf-compare`) and metric exports (`dlsr
+// analyze`), and tests use it to check that every exporter emits valid
+// JSON. parse() builds a Value tree for any valid JSON document and throws
+// dlsr::Error (with byte offset) on malformed input.
 #pragma once
 
 #include <cstddef>

@@ -74,8 +74,7 @@ double DistributedTrainer::single_gpu_images_per_second() const {
 }
 
 RunResult DistributedTrainer::run(BackendKind kind, std::size_t nodes,
-                                  std::size_t steps,
-                                  hvd::TimelineWriter* timeline) const {
+                                  std::size_t steps) const {
   DLSR_CHECK(nodes > 0 && steps > 0, "run needs nodes and steps");
   obs::ScopedSpan run_span("core", "simulate_run");
   if (run_span.active()) {
@@ -217,16 +216,6 @@ RunResult DistributedTrainer::run(BackendKind kind, std::size_t nodes,
     for (std::size_t m = 0; m < config_.metric_allreduces_per_step; ++m) {
       step_end = backend->allreduce(8, 0x3E7A1Cull + m, step_end);
     }
-    if (timeline) {
-      hvd::StepTrace trace;
-      trace.step_index = s;
-      trace.forward_start = step_start;
-      trace.forward_end = backward_start;
-      trace.backward_end = comm_timeline.backward_end;
-      trace.step_end = step_end;
-      trace.comm = comm_timeline;
-      timeline->record_step(std::move(trace));
-    }
     if (obs::tracing_enabled()) {
       emit_sim_step_events(s, step_begin, step_start, backward_start,
                            comm_timeline, step_end,
@@ -257,9 +246,10 @@ RunResult DistributedTrainer::run(BackendKind kind, std::size_t nodes,
       }
     }
     step_ms_hist->observe((step_end - step_begin) * 1e3);
-    exposed_ms_hist->observe(comm_timeline.exposed_comm() * 1e3);
+    const double exposed = comm_timeline.exposed_comm();
+    exposed_ms_hist->observe(exposed * 1e3);
     result.step_times.push_back(step_end - step_begin);
-    exposed_total += comm_timeline.exposed_comm();
+    exposed_total += exposed;
     t = step_end;
   }
 

@@ -23,7 +23,6 @@
 
 #include "core/backend_kind.hpp"
 #include "hvd/fusion.hpp"
-#include "hvd/timeline.hpp"
 #include "models/model_graph.hpp"
 #include "obs/straggler.hpp"
 #include "perf/v100_model.hpp"
@@ -110,11 +109,11 @@ class DistributedTrainer {
   /// Ideal single-GPU throughput (no communication), images/second.
   double single_gpu_images_per_second() const;
 
-  /// Simulates `steps` training steps on `nodes` Lassen nodes. When
-  /// `timeline` is non-null every step's compute/communication schedule is
-  /// recorded for Chrome-trace export (HOROVOD_TIMELINE).
-  RunResult run(BackendKind kind, std::size_t nodes, std::size_t steps,
-                hvd::TimelineWriter* timeline = nullptr) const;
+  /// Simulates `steps` training steps on `nodes` Lassen nodes. With
+  /// tracing enabled, every step's compute and communication schedule
+  /// lands on the trace's simulated-time lanes (the HOROVOD_TIMELINE view).
+  RunResult run(BackendKind kind, std::size_t nodes,
+                std::size_t steps) const;
 
   const models::ModelGraph& graph() const { return graph_; }
   const TrainingJobConfig& config() const { return config_; }

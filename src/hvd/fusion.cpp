@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/intervals.hpp"
 #include "common/strings.hpp"
 #include "obs/trace.hpp"
 
@@ -77,29 +78,12 @@ class BackwardProgress {
 }  // namespace
 
 double StepTimeline::exposed_comm() const {
-  std::vector<std::pair<double, double>> busy;
+  std::vector<intervals::Interval> busy;
   busy.reserve(messages.size());
   for (const IssuedMessage& m : messages) {
-    const double s = std::max(m.started_at, backward_end);
-    if (m.done_at > s) {
-      busy.emplace_back(s, m.done_at);
-    }
+    busy.emplace_back(std::max(m.started_at, backward_end), m.done_at);
   }
-  std::sort(busy.begin(), busy.end());
-  double total = 0.0;
-  double cover_end = 0.0;
-  bool open = false;
-  for (const auto& [s, e] : busy) {
-    if (!open || s > cover_end) {
-      total += e - s;
-      cover_end = e;
-      open = true;
-    } else if (e > cover_end) {
-      total += e - cover_end;
-      cover_end = e;
-    }
-  }
-  return total;
+  return intervals::covered(std::move(busy));
 }
 
 TensorFusionEngine::TensorFusionEngine(FusionConfig config,

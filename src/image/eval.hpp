@@ -19,7 +19,7 @@ struct SrEvalResult {
 /// How the model consumes its input.
 enum class SrInputKind {
   LowRes,          ///< model upsamples internally (EDSR, SRResNet)
-  BicubicUpscaled  ///< model refines a bicubic upscale (VDSR, SRCNN)
+  BicubicUpscaled  ///< model refines a bicubic upscale (VDSR)
 };
 
 /// Evaluates `model` on the first `count` images of the split at `scale`.

@@ -54,18 +54,4 @@ ModelGraph build_edsr_graph(const EdsrConfig& config, std::size_t lr_patch) {
   return g;
 }
 
-ModelGraph build_srcnn_graph(const SrcnnConfig& config, std::size_t h,
-                             std::size_t w) {
-  ModelGraph g("SRCNN");
-  g.add_layer(conv_desc("conv1", config.channels, config.f1, config.k1, 1,
-                        config.k1 / 2, h, w));
-  g.add_layer(relu_desc("relu1", config.f1, h, w));
-  g.add_layer(conv_desc("conv2", config.f1, config.f2, config.k2, 1,
-                        config.k2 / 2, h, w));
-  g.add_layer(relu_desc("relu2", config.f2, h, w));
-  g.add_layer(conv_desc("conv3", config.f2, config.channels, config.k3, 1,
-                        config.k3 / 2, h, w));
-  return g;
-}
-
 }  // namespace dlsr::models

@@ -3,7 +3,6 @@
 
 #include "models/edsr.hpp"
 #include "models/model_graph.hpp"
-#include "models/srcnn.hpp"
 
 namespace dlsr::models {
 
@@ -12,9 +11,5 @@ namespace dlsr::models {
 /// the reference EDSR-PyTorch code uses 96x96 HR patches for x2, i.e. a
 /// 48x48 LR input.
 ModelGraph build_edsr_graph(const EdsrConfig& config, std::size_t lr_patch);
-
-/// SRCNN graph on an already-upscaled H x W input.
-ModelGraph build_srcnn_graph(const SrcnnConfig& config, std::size_t h,
-                             std::size_t w);
 
 }  // namespace dlsr::models

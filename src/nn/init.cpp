@@ -17,19 +17,4 @@ void kaiming_normal(Tensor& weight, const Conv2dSpec& spec, Rng& rng) {
   }
 }
 
-void kaiming_normal_linear(Tensor& weight, std::size_t fan_in, Rng& rng) {
-  DLSR_CHECK(fan_in > 0, "fan_in must be positive");
-  const float stddev =
-      static_cast<float>(std::sqrt(2.0 / static_cast<double>(fan_in)));
-  for (std::size_t i = 0; i < weight.numel(); ++i) {
-    weight[i] = static_cast<float>(rng.normal(0.0, stddev));
-  }
-}
-
-void uniform_init(Tensor& t, float bound, Rng& rng) {
-  for (std::size_t i = 0; i < t.numel(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-bound, bound));
-  }
-}
-
 }  // namespace dlsr::nn

@@ -11,10 +11,4 @@ namespace dlsr::nn {
 /// fan_in = in_channels * kernel^2 (the default for ReLU networks).
 void kaiming_normal(Tensor& weight, const Conv2dSpec& spec, Rng& rng);
 
-/// Kaiming-He init for a [out, in] linear weight.
-void kaiming_normal_linear(Tensor& weight, std::size_t fan_in, Rng& rng);
-
-/// Uniform init in [-bound, bound].
-void uniform_init(Tensor& t, float bound, Rng& rng);
-
 }  // namespace dlsr::nn

@@ -38,37 +38,4 @@ LossResult mse_loss(const Tensor& pred, const Tensor& target) {
   return result;
 }
 
-LossResult cross_entropy_loss(const Tensor& logits,
-                              const std::vector<std::size_t>& labels) {
-  DLSR_CHECK(logits.rank() == 2, "cross_entropy expects [N, C] logits");
-  const std::size_t N = logits.dim(0);
-  const std::size_t C = logits.dim(1);
-  DLSR_CHECK(labels.size() == N, "one label per sample required");
-  LossResult result;
-  result.grad = Tensor(logits.shape());
-  double loss = 0.0;
-  for (std::size_t n = 0; n < N; ++n) {
-    DLSR_CHECK(labels[n] < C, "label out of range");
-    const float* row = logits.raw() + n * C;
-    float maxv = row[0];
-    for (std::size_t c = 1; c < C; ++c) {
-      maxv = std::max(maxv, row[c]);
-    }
-    double denom = 0.0;
-    for (std::size_t c = 0; c < C; ++c) {
-      denom += std::exp(static_cast<double>(row[c] - maxv));
-    }
-    const double log_denom = std::log(denom);
-    loss += log_denom - static_cast<double>(row[labels[n]] - maxv);
-    float* grow = result.grad.raw() + n * C;
-    for (std::size_t c = 0; c < C; ++c) {
-      const double p = std::exp(static_cast<double>(row[c] - maxv)) / denom;
-      grow[c] = static_cast<float>(
-          (p - (c == labels[n] ? 1.0 : 0.0)) / static_cast<double>(N));
-    }
-  }
-  result.value = loss / static_cast<double>(N);
-  return result;
-}
-
 }  // namespace dlsr::nn

@@ -18,9 +18,4 @@ LossResult l1_loss(const Tensor& pred, const Tensor& target);
 /// mean((pred - target)^2).
 LossResult mse_loss(const Tensor& pred, const Tensor& target);
 
-/// Softmax cross-entropy over logits [N, C] with integer labels.
-/// Used by the classifier baseline.
-LossResult cross_entropy_loss(const Tensor& logits,
-                              const std::vector<std::size_t>& labels);
-
 }  // namespace dlsr::nn

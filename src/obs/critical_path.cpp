@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/intervals.hpp"
 #include "common/strings.hpp"
 #include "obs/trace.hpp"
 
@@ -15,73 +16,7 @@ namespace {
 /// Export rounding slack: trace timestamps carry %.3f microseconds.
 constexpr double kEpsUs = 0.5;
 
-using Interval = std::pair<double, double>;
-
-/// Sorted disjoint union of a set of [start, end) intervals.
-std::vector<Interval> merge_intervals(std::vector<Interval> intervals) {
-  std::sort(intervals.begin(), intervals.end());
-  std::vector<Interval> merged;
-  for (const Interval& iv : intervals) {
-    if (iv.second <= iv.first) {
-      continue;
-    }
-    if (!merged.empty() && iv.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, iv.second);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  return merged;
-}
-
-double total_covered(const std::vector<Interval>& merged) {
-  double total = 0.0;
-  for (const Interval& iv : merged) {
-    total += iv.second - iv.first;
-  }
-  return total;
-}
-
-/// Covered time of `a` not covered by `b`; both must be merged/disjoint.
-double subtract_covered(const std::vector<Interval>& a,
-                        const std::vector<Interval>& b) {
-  double total = 0.0;
-  std::size_t j = 0;
-  for (const Interval& iv : a) {
-    double cursor = iv.first;
-    while (j < b.size() && b[j].second <= cursor) {
-      ++j;
-    }
-    std::size_t k = j;
-    while (k < b.size() && b[k].first < iv.second) {
-      if (b[k].first > cursor) {
-        total += b[k].first - cursor;
-      }
-      cursor = std::max(cursor, b[k].second);
-      if (cursor >= iv.second) {
-        break;
-      }
-      ++k;
-    }
-    if (cursor < iv.second) {
-      total += iv.second - cursor;
-    }
-  }
-  return total;
-}
-
-std::vector<Interval> clip(const std::vector<Interval>& merged, double lo,
-                           double hi) {
-  std::vector<Interval> out;
-  for (const Interval& iv : merged) {
-    const double s = std::max(iv.first, lo);
-    const double e = std::min(iv.second, hi);
-    if (e > s) {
-      out.emplace_back(s, e);
-    }
-  }
-  return out;
-}
+using intervals::Interval;
 
 struct StepBuild {
   StepAttribution attr;
@@ -204,7 +139,8 @@ AnalysisReport analyze_trace(const std::vector<ParsedEvent>& events) {
       sb.wire_ops.push_back(c);
     }
   }
-  report.setup_comm_us = total_covered(merge_intervals(std::move(setup)));
+  report.setup_comm_us =
+      intervals::covered(intervals::merge(std::move(setup)));
   report.comm_profile = hvprof_from_trace(comm);
 
   // Straggler flags: zero-duration cat="straggler" events the trainer
@@ -244,17 +180,17 @@ AnalysisReport analyze_trace(const std::vector<ParsedEvent>& events) {
   // Pass 3: per-step interval arithmetic.
   for (StepBuild& sb : steps) {
     StepAttribution& a = sb.attr;
-    const auto compute = merge_intervals(sb.compute);
-    const auto comm_busy = merge_intervals(sb.comm);
-    a.comm_busy_us = total_covered(comm_busy);
-    a.exposed_comm_us = subtract_covered(comm_busy, compute);
+    const auto compute = intervals::merge(sb.compute);
+    const auto comm_busy = intervals::merge(sb.comm);
+    a.comm_busy_us = intervals::covered(comm_busy);
+    a.exposed_comm_us = intervals::subtract_covered(comm_busy, compute);
     a.overlapped_comm_us = a.comm_busy_us - a.exposed_comm_us;
     // Stall: step-window time covered by neither compute, data, nor comm.
     std::vector<Interval> all = sb.compute;
     all.insert(all.end(), sb.data.begin(), sb.data.end());
     all.insert(all.end(), sb.comm.begin(), sb.comm.end());
-    const double covered = total_covered(
-        clip(merge_intervals(std::move(all)), a.start_us, a.end_us));
+    const double covered = intervals::covered(intervals::clip(
+        intervals::merge(std::move(all)), a.start_us, a.end_us));
     a.stall_us = std::max(0.0, a.duration_us() - covered);
 
     // Critical path: the step is comm-bound when a collective (or its
@@ -276,7 +212,7 @@ AnalysisReport analyze_trace(const std::vector<ParsedEvent>& events) {
         continue;
       }
       const std::vector<Interval> op{{c.ts_us, c.end_us()}};
-      if (subtract_covered(op, compute) > kEpsUs) {
+      if (intervals::subtract_covered(op, compute) > kEpsUs) {
         bounding = &c;
       }
     }

@@ -14,7 +14,6 @@ std::atomic<bool> g_tracing_enabled{false};
 std::atomic<bool> g_span_ring_enabled{false};
 std::atomic<bool> g_trace_store_enabled{false};
 std::atomic<std::uint64_t> g_next_id{0};
-thread_local TraceContext t_context;
 
 std::string with_context_args(std::string args, const TraceContext& ctx) {
   const std::string ids =

@@ -60,7 +60,10 @@ extern std::atomic<bool> g_span_ring_enabled;
 extern std::atomic<bool> g_trace_store_enabled;
 /// Process-wide id well for trace and span ids (never hands out 0).
 extern std::atomic<std::uint64_t> g_next_id;
-extern thread_local TraceContext t_context;
+/// The calling thread's current context. Inline and constinit, so each
+/// use is a direct TLS access with no dynamic-init wrapper call (the extern
+/// form's wrapper trips UBSan's null-store check in ASan builds).
+inline thread_local constinit TraceContext t_context{};
 
 // Out-of-line hooks so this header does not pull in the flight recorder or
 // the trace store (implemented in flight_recorder.cpp / trace_store.cpp).

@@ -2,328 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <limits>
 #include <map>
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/intervals.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "obs/trace.hpp"
 
 namespace dlsr::obs {
 namespace {
-
-/// Minimal recursive-descent JSON reader. It validates full JSON syntax
-/// and surfaces just enough structure (object fields with string/number
-/// values) for trace-event extraction.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  /// Validates one complete JSON document.
-  bool validate() {
-    try {
-      skip_ws();
-      parse_value(nullptr);
-      skip_ws();
-      return pos_ == text_.size();
-    } catch (const Error&) {
-      return false;
-    }
-  }
-
-  /// Parses the top level as an array of objects, invoking `on_field` for
-  /// every scalar field of each top-level object, and `on_object_end`
-  /// after each object. Nested containers (e.g. "args") are validated and
-  /// skipped.
-  template <typename OnField, typename OnObjectEnd>
-  void parse_event_array(OnField on_field, OnObjectEnd on_object_end) {
-    skip_ws();
-    if (peek() == '{') {
-      // {"traceEvents":[...]} wrapper: scan for the array field.
-      expect('{');
-      skip_ws();
-      bool found = false;
-      if (peek() != '}') {
-        for (;;) {
-          const std::string key = parse_string();
-          skip_ws();
-          expect(':');
-          skip_ws();
-          if (key == "traceEvents") {
-            parse_array_of_objects(on_field, on_object_end);
-            found = true;
-          } else {
-            parse_value(nullptr);
-          }
-          skip_ws();
-          if (peek() != ',') {
-            break;
-          }
-          expect(',');
-          skip_ws();
-        }
-      }
-      expect('}');
-      DLSR_CHECK(found, "trace JSON object has no \"traceEvents\" array");
-    } else {
-      parse_array_of_objects(on_field, on_object_end);
-    }
-    skip_ws();
-    DLSR_CHECK(pos_ == text_.size(), "trailing data after trace JSON");
-  }
-
- private:
-  struct Scalar {
-    enum Kind { String, Number, Bool, Null, Container } kind = Null;
-    std::string str;
-    double num = 0.0;
-  };
-
-  char peek() const {
-    DLSR_CHECK(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    DLSR_CHECK(pos_ < text_.size() && text_[pos_] == c,
-               strfmt("JSON: expected '%c' at offset %zu", c, pos_));
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      DLSR_CHECK(pos_ < text_.size(), "unterminated JSON string");
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c == '\\') {
-        DLSR_CHECK(pos_ < text_.size(), "unterminated JSON escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            DLSR_CHECK(pos_ + 4 <= text_.size(), "truncated \\u escape");
-            for (int i = 0; i < 4; ++i) {
-              DLSR_CHECK(std::isxdigit(static_cast<unsigned char>(
-                             text_[pos_ + i])),
-                         "bad \\u escape");
-            }
-            // Keep escaped code points literal; names are ASCII here.
-            out += text_.substr(pos_ - 2, 6);
-            pos_ += 4;
-            break;
-          }
-          default:
-            DLSR_FAIL(strfmt("bad JSON escape '\\%c'", e));
-        }
-      } else {
-        DLSR_CHECK(static_cast<unsigned char>(c) >= 0x20,
-                   "raw control character in JSON string");
-        out += c;
-      }
-    }
-  }
-
-  double parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') {
-      ++pos_;
-    }
-    DLSR_CHECK(pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_])),
-               "malformed JSON number");
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      DLSR_CHECK(pos_ < text_.size() &&
-                     std::isdigit(static_cast<unsigned char>(text_[pos_])),
-                 "malformed JSON fraction");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      DLSR_CHECK(pos_ < text_.size() &&
-                     std::isdigit(static_cast<unsigned char>(text_[pos_])),
-                 "malformed JSON exponent");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return std::strtod(text_.c_str() + start, nullptr);
-  }
-
-  void parse_literal(const char* lit) {
-    for (const char* p = lit; *p; ++p) {
-      expect(*p);
-    }
-  }
-
-  /// Parses any value; fills `out` for scalars when non-null.
-  void parse_value(Scalar* out) {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') {
-      expect('{');
-      skip_ws();
-      if (peek() != '}') {
-        for (;;) {
-          parse_string();
-          skip_ws();
-          expect(':');
-          parse_value(nullptr);
-          skip_ws();
-          if (peek() != ',') {
-            break;
-          }
-          expect(',');
-          skip_ws();
-        }
-      }
-      expect('}');
-      if (out) out->kind = Scalar::Container;
-    } else if (c == '[') {
-      expect('[');
-      skip_ws();
-      if (peek() != ']') {
-        for (;;) {
-          parse_value(nullptr);
-          skip_ws();
-          if (peek() != ',') {
-            break;
-          }
-          expect(',');
-          skip_ws();
-        }
-      }
-      expect(']');
-      if (out) out->kind = Scalar::Container;
-    } else if (c == '"') {
-      std::string s = parse_string();
-      if (out) {
-        out->kind = Scalar::String;
-        out->str = std::move(s);
-      }
-    } else if (c == 't') {
-      parse_literal("true");
-      if (out) { out->kind = Scalar::Bool; out->num = 1.0; }
-    } else if (c == 'f') {
-      parse_literal("false");
-      if (out) { out->kind = Scalar::Bool; out->num = 0.0; }
-    } else if (c == 'n') {
-      parse_literal("null");
-      if (out) out->kind = Scalar::Null;
-    } else {
-      const double n = parse_number();
-      if (out) {
-        out->kind = Scalar::Number;
-        out->num = n;
-      }
-    }
-  }
-
-  template <typename OnField, typename OnObjectEnd>
-  void parse_array_of_objects(OnField on_field, OnObjectEnd on_object_end) {
-    skip_ws();
-    expect('[');
-    skip_ws();
-    if (peek() != ']') {
-      for (;;) {
-        skip_ws();
-        expect('{');
-        skip_ws();
-        if (peek() != '}') {
-          for (;;) {
-            const std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            skip_ws();
-            if (key == "args" && peek() == '{') {
-              // Descend one level so scalar args members surface as
-              // "args.<key>" fields; deeper containers are skipped.
-              expect('{');
-              skip_ws();
-              if (peek() != '}') {
-                for (;;) {
-                  const std::string arg_key = parse_string();
-                  skip_ws();
-                  expect(':');
-                  Scalar value;
-                  parse_value(&value);
-                  if (value.kind == Scalar::String) {
-                    on_field("args." + arg_key, value.str, true, 0.0);
-                  } else if (value.kind == Scalar::Number) {
-                    on_field("args." + arg_key, std::string(), false,
-                             value.num);
-                  }
-                  skip_ws();
-                  if (peek() != ',') {
-                    break;
-                  }
-                  expect(',');
-                  skip_ws();
-                }
-              }
-              expect('}');
-            } else {
-              Scalar value;
-              parse_value(&value);
-              if (value.kind == Scalar::String) {
-                on_field(key, value.str, true, 0.0);
-              } else if (value.kind == Scalar::Number) {
-                on_field(key, std::string(), false, value.num);
-              }
-            }
-            skip_ws();
-            if (peek() != ',') {
-              break;
-            }
-            expect(',');
-            skip_ws();
-          }
-        }
-        expect('}');
-        on_object_end();
-        skip_ws();
-        if (peek() != ',') {
-          break;
-        }
-        expect(',');
-        skip_ws();
-      }
-    }
-    expect(']');
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 /// Collapses per-instance span names into families: strips one trailing
 /// "/<digits>" or "/<digits>.<digits>" tag ("forward/17" -> "forward").
@@ -352,62 +41,47 @@ double ParsedEvent::arg(const std::string& key, double fallback) const {
   return fallback;
 }
 
-double interval_union_us(std::vector<std::pair<double, double>> intervals) {
-  std::sort(intervals.begin(), intervals.end());
-  double covered = 0.0;
-  double cursor = -std::numeric_limits<double>::infinity();
-  for (const auto& [start, end] : intervals) {
-    if (end <= start) {
-      continue;
-    }
-    if (start > cursor) {
-      covered += end - start;
-      cursor = end;
-    } else if (end > cursor) {
-      covered += end - cursor;
-      cursor = end;
-    }
+std::vector<ParsedEvent> parse_trace_events(const std::string& text) {
+  const json::Value doc = json::parse(text);
+  const json::Value* list = &doc;
+  if (doc.is_object()) {
+    list = doc.find("traceEvents");
+    DLSR_CHECK(list != nullptr,
+               "trace JSON object has no \"traceEvents\" array");
   }
-  return covered;
-}
-
-bool json_valid(const std::string& text) {
-  return JsonReader(text).validate();
-}
-
-std::vector<ParsedEvent> parse_trace_events(const std::string& json) {
+  DLSR_CHECK(list->is_array(),
+             "trace JSON must be an event array or a {\"traceEvents\":[...]} "
+             "object");
   std::vector<ParsedEvent> events;
-  ParsedEvent current;
-  JsonReader reader(json);
-  reader.parse_event_array(
-      [&](const std::string& key, const std::string& str, bool is_string,
-          double num) {
-        if (is_string) {
-          if (key.rfind("args.", 0) == 0) {
-            current.str_args.emplace_back(key.substr(5), str);
-          } else if (key == "name") {
-            current.name = str;
-          } else if (key == "cat") {
-            current.cat = str;
-          } else if (key == "ph" && !str.empty()) {
-            current.phase = str[0];
-          }
-        } else if (key.rfind("args.", 0) == 0) {
-          current.args.emplace_back(key.substr(5), num);
-        } else {
-          if (key == "ts") current.ts_us = num;
-          else if (key == "dur") current.dur_us = num;
-          else if (key == "pid") current.pid = static_cast<int>(num);
-          else if (key == "tid") current.tid = static_cast<int>(num);
-          else if (key == "id") {
-            current.flow_id = static_cast<std::uint64_t>(num);
+  events.reserve(list->array.size());
+  for (const json::Value& event : list->array) {
+    DLSR_CHECK(event.is_object(), "trace event is not a JSON object");
+    ParsedEvent e;
+    // Scalar fields and one level of "args"; bools, nulls and deeper
+    // containers carry nothing the analyzers read.
+    for (const auto& [key, v] : event.object) {
+      if (key == "args" && v.is_object()) {
+        for (const auto& [arg, a] : v.object) {
+          if (a.is_number()) {
+            e.args.emplace_back(arg, a.number);
+          } else if (a.is_string()) {
+            e.str_args.emplace_back(arg, a.str);
           }
         }
-      },
-      [&] {
-        events.push_back(current);
-        current = ParsedEvent{};
-      });
+      } else if (v.is_string()) {
+        if (key == "name") e.name = v.str;
+        else if (key == "cat") e.cat = v.str;
+        else if (key == "ph" && !v.str.empty()) e.phase = v.str[0];
+      } else if (v.is_number()) {
+        if (key == "ts") e.ts_us = v.number;
+        else if (key == "dur") e.dur_us = v.number;
+        else if (key == "pid") e.pid = static_cast<int>(v.number);
+        else if (key == "tid") e.tid = static_cast<int>(v.number);
+        else if (key == "id") e.flow_id = static_cast<std::uint64_t>(v.number);
+      }
+    }
+    events.push_back(std::move(e));
+  }
   return events;
 }
 
@@ -417,7 +91,7 @@ std::vector<TraceSummaryRow> summarize_trace(
     TraceSummaryRow row;
     /// Simulated comm-slot spans; merged by union so concurrent slots are
     /// not double-counted.
-    std::vector<std::pair<double, double>> slot_intervals;
+    std::vector<intervals::Interval> slot_intervals;
     bool is_slot = false;
   };
   const auto is_slot_lane = [](const ParsedEvent& e) {
@@ -500,8 +174,7 @@ std::vector<TraceSummaryRow> summarize_trace(
     if (b.is_slot) {
       // Union across lanes; slots hold no nested children, so exclusive
       // time is the union itself.
-      const double covered =
-          interval_union_us(std::move(b.slot_intervals));
+      const double covered = intervals::covered(std::move(b.slot_intervals));
       b.row.total_us += covered;
       b.row.self_us += covered;
     }

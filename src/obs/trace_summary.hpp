@@ -1,8 +1,6 @@
-// Trace-file analysis: parse a Chrome trace-event JSON file back into
-// events and aggregate it into a per-phase time table (the `dlsr
-// trace-summary` subcommand). The parser is a full JSON syntax checker —
-// tests use it to assert that every exporter in the repo (obs::Tracer,
-// hvd::TimelineWriter, the metrics registry) emits valid JSON.
+// Trace-file analysis: read a Chrome trace-event JSON file back into
+// events (a walk over the json::parse document) and aggregate it into a
+// per-phase time table (the `dlsr trace-summary` subcommand).
 #pragma once
 
 #include <cstdint>
@@ -34,12 +32,11 @@ struct ParsedEvent {
   double arg(const std::string& key, double fallback) const;
 };
 
-/// Strict JSON syntax check (objects, arrays, strings with escapes,
-/// numbers, true/false/null; trailing garbage rejected).
-bool json_valid(const std::string& text);
-
 /// Parses a trace-event JSON array (or {"traceEvents":[...]} wrapper).
-/// Throws dlsr::Error on malformed JSON or a non-array top level.
+/// Each event keeps its string/number top-level fields and the string and
+/// number members of its "args" object; other values are skipped. Throws
+/// dlsr::Error on malformed JSON, a top level of any other shape, or an
+/// event that is not an object.
 std::vector<ParsedEvent> parse_trace_events(const std::string& json);
 
 /// One aggregated (category, normalized-name, rank) family of complete
@@ -98,10 +95,5 @@ std::string trace_summary_json(const std::vector<ParsedEvent>& events);
 /// Tags every event that lacks a numeric "rank" arg with the given rank.
 /// Multi-file trace-summary uses it to keep per-file attribution.
 void tag_rank(std::vector<ParsedEvent>& events, int rank);
-
-/// Total covered time of a set of [start, end) intervals (their union).
-/// Degenerate (end <= start) intervals contribute nothing.
-double interval_union_us(
-    std::vector<std::pair<double, double>> intervals);
 
 }  // namespace dlsr::obs

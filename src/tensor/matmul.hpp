@@ -3,7 +3,7 @@
 // C[m, n] = sum_k A[m, k] * B[k, n], with optional accumulate-into-C.
 // matmul_naive is the reference oracle for tests; matmul_blocked is the
 // legacy cache-blocked kernel, kept as the baseline the bench suite
-// compares against and for small helpers (nn::Linear). The production
+// compares against. The production
 // GEMM engine is tensor/gemm_kernel (packed panels + register-blocked
 // micro-kernel); matmul() routes through it.
 #pragma once

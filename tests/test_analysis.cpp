@@ -323,7 +323,7 @@ TEST(TraceMerge, AlignsClocksKeepsRankZeroCommLanesAndTagsRanks) {
   EXPECT_THROW(merge_rank_traces({}), Error);
 
   const std::string json = merge_rank_traces({r0, r1});
-  EXPECT_TRUE(json_valid(json));
+  EXPECT_NO_THROW(json::parse(json));
   // Lanes are named for the trace viewer.
   EXPECT_NE(json.find("rank 1 compute"), std::string::npos);
   EXPECT_NE(json.find("comm slot 0"), std::string::npos);
@@ -417,7 +417,6 @@ TEST(AnalyzeTrace, MatchesSimulatorExposedCommAndHvprof) {
 
   // The report JSON is valid and carries the analysis schema tag.
   const std::string json = report.to_json();
-  EXPECT_TRUE(json_valid(json));
   const json::Value doc = json::parse(json);
   EXPECT_EQ(doc.find("schema")->as_string(), "dlsr-analysis-v1");
   std::remove(path.c_str());

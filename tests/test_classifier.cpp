@@ -1,13 +1,10 @@
-// Tests for the classification path: SyntheticShapes dataset and the
-// trainable MiniResNet (the original-ResNet block family of Fig. 5a).
+// Tests for the SyntheticShapes dataset (the source behind
+// data::ShapesFrameDataset).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "image/shapes_dataset.hpp"
-#include "models/mini_resnet.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace dlsr {
@@ -60,78 +57,6 @@ TEST(ShapesDataset, BatchWrapsAndLabels) {
 TEST(ShapesDataset, ClassNames) {
   EXPECT_STREQ(img::shape_class_name(img::ShapeClass::Disk), "disk");
   EXPECT_STREQ(img::shape_class_name(img::ShapeClass::Texture), "texture");
-}
-
-TEST(MiniResNetModel, ForwardShapeAndParams) {
-  Rng rng(1);
-  models::MiniResNet net(models::MiniResNetConfig::tiny(), rng);
-  const auto [images, labels] =
-      img::SyntheticShapes(img::ShapesConfig{12, 8, 3}).batch(0, 8);
-  const Tensor logits = net.forward(images);
-  EXPECT_EQ(logits.shape(), Shape({8, 4}));
-  EXPECT_GT(net.parameter_count(), 0u);
-  // Stem + 2 blocks (4 BN each... 2 conv + 2 bn) + head present by name.
-  bool has_block = false;
-  for (const auto& p : net.parameters()) {
-    if (p.name.find("block1.conv2.weight") != std::string::npos) {
-      has_block = true;
-    }
-  }
-  EXPECT_TRUE(has_block);
-}
-
-TEST(MiniResNetModel, PredictArgmax) {
-  Tensor logits({2, 3}, {0.1f, 2.0f, -1.0f, 5.0f, 4.0f, 4.5f});
-  const auto preds = models::MiniResNet::predict(logits);
-  ASSERT_EQ(preds.size(), 2u);
-  EXPECT_EQ(preds[0], 1u);
-  EXPECT_EQ(preds[1], 0u);
-}
-
-TEST(MiniResNetModel, LearnsShapesAboveChance) {
-  // End-to-end classification training: 4-way shapes, must comfortably
-  // exceed the 25 % chance level.
-  img::ShapesConfig cfg;
-  cfg.image_size = 12;
-  cfg.samples = 128;
-  const img::SyntheticShapes data(cfg);
-  Rng rng(1);
-  models::MiniResNet net(models::MiniResNetConfig::tiny(), rng);
-  nn::Adam adam(net.parameters(), 2e-3);
-  Rng pick(2);
-  double first_loss = 0.0;
-  double last_loss = 0.0;
-  for (int step = 0; step < 120; ++step) {
-    const auto [images, labels] = data.batch(pick.uniform_index(128), 16);
-    net.zero_grad();
-    const Tensor logits = net.forward(images);
-    const nn::LossResult loss = nn::cross_entropy_loss(logits, labels);
-    net.backward(loss.grad);
-    adam.step();
-    if (step == 0) first_loss = loss.value;
-    last_loss = loss.value;
-  }
-  EXPECT_LT(last_loss, 0.65 * first_loss);
-
-  net.set_training(false);
-  const auto [images, labels] = data.batch(0, 128);
-  const auto preds = models::MiniResNet::predict(net.forward(images));
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    correct += preds[i] == labels[i];
-  }
-  const double accuracy = static_cast<double>(correct) / labels.size();
-  EXPECT_GT(accuracy, 0.5) << "accuracy " << accuracy;
-}
-
-TEST(MiniResNetModel, Validation) {
-  Rng rng(3);
-  models::MiniResNetConfig bad;
-  bad.blocks = 0;
-  EXPECT_THROW(models::MiniResNet(bad, rng), Error);
-  bad = models::MiniResNetConfig::tiny();
-  bad.classes = 1;
-  EXPECT_THROW(models::MiniResNet(bad, rng), Error);
 }
 
 }  // namespace

@@ -4,12 +4,15 @@
 // simulator output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "core/backend_kind.hpp"
 #include "core/experiments.hpp"
-
-#include <cstdio>
-#include <fstream>
+#include "obs/trace.hpp"
+#include "obs/trace_summary.hpp"
 
 namespace dlsr::core {
 namespace {
@@ -162,30 +165,63 @@ TEST_F(TrainerFixture, StragglerNodeGatesTheJob) {
 }
 
 TEST_F(TrainerFixture, TimelineRecordsEveryStepAndMessage) {
-  hvd::TimelineWriter timeline;
+  // The Horovod-timeline view of a run is its trace's simulated-time
+  // lanes: per-step forward/backward spans, plus one allreduce span with
+  // its byte count per message on the comm-slot lanes.
+  constexpr std::size_t kSteps = 5;
+  constexpr double kEpsUs = 0.5;  // %.3f export rounding
+  auto& tracer = obs::Tracer::instance();
+  tracer.disable();
+  tracer.reset();
+  tracer.enable();
   const core::RunResult r =
-      trainer().run(core::BackendKind::MpiOpt, 2, 5, &timeline);
-  ASSERT_EQ(timeline.step_count(), 5u);
-  std::size_t messages = 0;
-  for (const auto& s : timeline.steps()) {
-    EXPECT_LE(s.forward_start, s.forward_end);
-    EXPECT_LE(s.forward_end, s.backward_end);
-    EXPECT_LE(s.backward_end, s.step_end);
-    messages += s.comm.messages.size();
+      trainer().run(core::BackendKind::MpiOpt, 2, kSteps);
+  tracer.disable();
+  const std::vector<obs::ParsedEvent> events =
+      obs::parse_trace_events(tracer.to_chrome_trace_json());
+  tracer.reset();
+
+  std::vector<const obs::ParsedEvent*> forward;
+  std::vector<const obs::ParsedEvent*> backward;
+  std::vector<double> fused_starts;  ///< gradient messages (metric ones are 8 B)
+  for (const obs::ParsedEvent& e : events) {
+    if (e.phase != 'X' || e.pid != static_cast<int>(obs::kSimPid)) {
+      continue;
+    }
+    if (e.tid >= obs::kCommLaneBase) {
+      if (e.name == "allreduce") {
+        EXPECT_GT(e.arg("bytes", 0.0), 0.0);
+        if (e.arg("bytes", 0.0) > 8.0) {
+          fused_starts.push_back(e.ts_us);
+        }
+      }
+    } else if (e.name == "forward") {
+      forward.push_back(&e);
+    } else if (e.name == "backward") {
+      backward.push_back(&e);
+    }
   }
-  // Timeline holds the fused gradient messages (metric allreduces are
-  // recorded by the profiler, not the per-step fusion timeline).
-  EXPECT_GT(messages, 0u);
-  EXPECT_LE(messages + 5 * 2,
+  ASSERT_EQ(forward.size(), kSteps);
+  ASSERT_EQ(backward.size(), kSteps);
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    const double step = static_cast<double>(s);
+    EXPECT_EQ(forward[s]->arg("step", -1.0), step);
+    EXPECT_EQ(backward[s]->arg("step", -1.0), step);
+    EXPECT_NEAR(backward[s]->ts_us, forward[s]->ts_us + forward[s]->dur_us,
+                kEpsUs);
+    const double next = s + 1 < kSteps
+                            ? forward[s + 1]->ts_us
+                            : std::numeric_limits<double>::infinity();
+    EXPECT_LE(backward[s]->ts_us + backward[s]->dur_us, next + kEpsUs);
+    EXPECT_TRUE(std::any_of(fused_starts.begin(), fused_starts.end(),
+                            [&](double ts) {
+                              return ts >= forward[s]->ts_us && ts < next;
+                            }))
+        << "no fused message in step " << s;
+  }
+  // The profiler also counts the per-step metric allreduces.
+  EXPECT_LE(fused_starts.size() + kSteps * 2,
             r.profiler.total_count(prof::Collective::Allreduce));
-  const std::string json = timeline.to_chrome_trace_json();
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("allreduce/0.0"), std::string::npos);
-  const std::string path = "/tmp/dlsr_timeline_test.json";
-  timeline.write(path);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-  std::remove(path.c_str());
 }
 
 TEST(Experiments, NodeCountsMatchPaper) {

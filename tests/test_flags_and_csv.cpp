@@ -1,11 +1,11 @@
-// Tests for the CLI flag parser and the machine-readable exports (hvprof
-// CSV, timeline JSON).
+// Tests for the CLI flag parser and the machine-readable hvprof CSV export.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "common/flags.hpp"
 #include "common/units.hpp"
-#include "hvd/timeline.hpp"
 #include "prof/hvprof.hpp"
 
 namespace dlsr {
@@ -91,33 +91,6 @@ TEST(HvprofCsv, EmitsOnlyPopulatedBuckets) {
   EXPECT_NE(csv.find("MPI_Bcast,1-128 KB,1,"), std::string::npos);
   // Empty buckets omitted: exactly header + 2 rows.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-}
-
-TEST(TimelineJson, OrderedAndValidated) {
-  hvd::TimelineWriter timeline;
-  hvd::StepTrace bad;
-  bad.forward_start = 1.0;
-  bad.forward_end = 0.5;  // unordered
-  EXPECT_THROW(timeline.record_step(bad), Error);
-
-  hvd::StepTrace good;
-  good.step_index = 3;
-  good.forward_start = 0.0;
-  good.forward_end = 0.1;
-  good.backward_end = 0.3;
-  good.step_end = 0.35;
-  hvd::IssuedMessage msg;
-  msg.bytes = 1024;
-  msg.tensor_count = 2;
-  msg.issued_at = 0.15;
-  msg.done_at = 0.25;
-  good.comm.messages.push_back(msg);
-  timeline.record_step(good);
-  const std::string json = timeline.to_chrome_trace_json();
-  EXPECT_NE(json.find("\"forward/3\""), std::string::npos);
-  EXPECT_NE(json.find("\"backward/3\""), std::string::npos);
-  EXPECT_NE(json.find("\"allreduce/3.0\""), std::string::npos);
-  EXPECT_NE(json.find("\"bytes\":1024"), std::string::npos);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "image/resize.hpp"
 #include "image/synthetic_div2k.hpp"
 #include "models/edsr.hpp"
-#include "models/srcnn.hpp"
 #include "models/vdsr.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -83,31 +82,6 @@ TEST(Integration, DistributedEdsrTrainingImprovesPsnr) {
   EXPECT_TRUE(all_finite(sr));
 }
 
-TEST(Integration, SrcnnRefinesBicubicUpscale) {
-  // The SRCNN path: bicubic upscale then CNN refinement; training must
-  // reduce L1 against the HR target.
-  const img::SyntheticDiv2k data(small_dataset());
-  const Tensor hr = data.hr_image(img::Split::Train, 0);
-  const Tensor lr = img::downscale_bicubic(hr, 2);
-  const Tensor upscaled = img::upscale_bicubic(lr, 2);
-
-  Rng rng(3);
-  models::Srcnn srcnn(models::SrcnnConfig::tiny(), rng);
-  nn::Adam adam(srcnn.parameters(), 2e-3);
-  double first = 0.0;
-  double last = 0.0;
-  for (int step = 0; step < 40; ++step) {
-    srcnn.zero_grad();
-    const Tensor out = srcnn.forward(upscaled);
-    const nn::LossResult loss = nn::l1_loss(out, hr);
-    srcnn.backward(loss.grad);
-    adam.step();
-    if (step == 0) first = loss.value;
-    last = loss.value;
-  }
-  EXPECT_LT(last, 0.6 * first);
-}
-
 TEST(Integration, MetricsRankDegradations) {
   // SSIM/PSNR must agree that bicubic x2 round trip beats x4.
   const img::SyntheticDiv2k data(small_dataset());
@@ -168,7 +142,6 @@ TEST(Integration, TrainedModelBeatsUntrainedOnSsim) {
   const double ssim_after = img::ssim(edsr.forward(lr), hr);
   EXPECT_GT(ssim_after, ssim_before);
 }
-
 
 TEST(Integration, VdsrBeatsBicubicBaseline) {
   // The paper's Fig. 4 outcome, CPU-sized: a trained residual SR network

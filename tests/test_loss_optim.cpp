@@ -73,27 +73,6 @@ TEST(Losses, ShapeMismatchThrows) {
   EXPECT_THROW(mse_loss(Tensor({2}), Tensor({3})), Error);
 }
 
-TEST(CrossEntropy, UniformLogits) {
-  const Tensor logits = Tensor::zeros({1, 4});
-  const LossResult r = cross_entropy_loss(logits, {2});
-  EXPECT_NEAR(r.value, std::log(4.0), 1e-6);
-  // Gradient: softmax - onehot = 0.25 everywhere except -0.75 at label.
-  EXPECT_NEAR(r.grad[2], -0.75, 1e-6);
-  EXPECT_NEAR(r.grad[0], 0.25, 1e-6);
-}
-
-TEST(CrossEntropy, NumericallyStableWithLargeLogits) {
-  Tensor logits({1, 3}, {1000.0f, 999.0f, 0.0f});
-  const LossResult r = cross_entropy_loss(logits, {0});
-  EXPECT_TRUE(std::isfinite(r.value));
-  EXPECT_LT(r.value, 0.32);  // close to log(1 + e^-1)
-}
-
-TEST(CrossEntropy, Validation) {
-  EXPECT_THROW(cross_entropy_loss(Tensor({2, 3}), {0}), Error);
-  EXPECT_THROW(cross_entropy_loss(Tensor({1, 3}), {5}), Error);
-}
-
 /// A trivially optimizable parameter set for optimizer math tests.
 struct Param {
   Tensor value{Shape{2}};

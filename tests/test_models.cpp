@@ -1,4 +1,4 @@
-// Tests for dlsr::models — EDSR/SRCNN modules, analytic graphs, and the
+// Tests for dlsr::models — EDSR/VDSR modules, analytic graphs, and the
 // consistency between the trainable modules and their graphs (the property
 // that makes the simulated communication volumes real).
 #include <gtest/gtest.h>
@@ -7,10 +7,8 @@
 #include "common/rng.hpp"
 #include "models/edsr.hpp"
 #include "models/edsr_graph.hpp"
-#include "models/mdsr.hpp"
 #include "models/model_graph.hpp"
 #include "models/resnet50_graph.hpp"
-#include "models/srcnn.hpp"
 #include "models/vdsr.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -138,21 +136,6 @@ TEST(EdsrModel, ParameterNamesHierarchical) {
   EXPECT_TRUE(has_upsample);
 }
 
-TEST(SrcnnModel, ShapePreserved) {
-  Rng rng(16);
-  Srcnn srcnn(SrcnnConfig::tiny(), rng);
-  const Tensor in = random_image({2, 3, 10, 10}, 17);
-  EXPECT_EQ(srcnn.forward(in).shape(), in.shape());
-}
-
-TEST(SrcnnModel, GraphMatchesModule) {
-  Rng rng(18);
-  const SrcnnConfig cfg = SrcnnConfig::tiny();
-  Srcnn srcnn(cfg, rng);
-  const ModelGraph g = build_srcnn_graph(cfg, 10, 10);
-  EXPECT_EQ(srcnn.parameter_count(), g.param_count());
-}
-
 TEST(ModelGraphTest, LayerAccounting) {
   ModelGraph g("t");
   g.add_layer(conv_desc("c1", 3, 8, 3, 1, 1, 16, 16));
@@ -243,7 +226,6 @@ TEST(EdsrGraph, Scale3And4Variants) {
   EXPECT_EQ(g4.param_count(), m4.parameter_count());
 }
 
-
 TEST(VdsrModel, IdentityAtInitWithZeroFinalScale) {
   // With the final conv zeroed the network is exactly the identity — the
   // property that makes VDSR start at bicubic quality.
@@ -282,81 +264,6 @@ TEST(VdsrModel, DepthValidated) {
   models::VdsrConfig cfg;
   cfg.depth = 1;
   EXPECT_THROW(Vdsr(cfg, rng), Error);
-}
-
-
-TEST(MdsrModel, MultiScaleForwardShapes) {
-  Rng rng(50);
-  Mdsr mdsr(MdsrConfig::tiny(), rng);
-  const Tensor lr = random_image({1, 3, 8, 8}, 51);
-  mdsr.select_scale(2);
-  EXPECT_EQ(mdsr.forward(lr).shape(), Shape({1, 3, 16, 16}));
-  mdsr.select_scale(4);
-  EXPECT_EQ(mdsr.forward(lr).shape(), Shape({1, 3, 32, 32}));
-  EXPECT_THROW(mdsr.select_scale(3), Error);
-}
-
-TEST(MdsrModel, SharesBodyAcrossScales) {
-  // Two scales cost far less than two EDSRs: the shared body dominates.
-  Rng rng(52);
-  MdsrConfig cfg = MdsrConfig::tiny();
-  cfg.n_resblocks = 8;  // beef up the body so sharing shows
-  Mdsr mdsr(cfg, rng);
-  const std::size_t shared = mdsr.shared_parameter_count();
-  const std::size_t total = mdsr.parameter_count();
-  EXPECT_GT(shared, 0u);
-  EXPECT_LT(shared, total);
-  // The graph of each scale path matches a consistent param count:
-  // shared + that scale's branch.
-  const ModelGraph g2 = build_mdsr_graph(cfg, 2, 8);
-  const ModelGraph g4 = build_mdsr_graph(cfg, 4, 8);
-  // Branch params = per-scale graph minus shared body/head.
-  const std::size_t branch2 = g2.param_count() - shared;
-  const std::size_t branch4 = g4.param_count() - shared;
-  EXPECT_EQ(total, shared + branch2 + branch4);
-}
-
-TEST(MdsrModel, GradientsFlowThroughSelectedBranchOnly) {
-  Rng rng(53);
-  Mdsr mdsr(MdsrConfig::tiny(), rng);
-  mdsr.select_scale(2);
-  mdsr.zero_grad();
-  const Tensor lr = random_image({1, 3, 8, 8}, 54);
-  const Tensor target = random_image({1, 3, 16, 16}, 55);
-  const Tensor out = mdsr.forward(lr);
-  const nn::LossResult loss = nn::l1_loss(out, target);
-  mdsr.backward(loss.grad);
-  for (const auto& p : mdsr.parameters()) {
-    const bool x4_branch = p.name.find(".x4.") != std::string::npos;
-    if (x4_branch) {
-      EXPECT_EQ(max_abs(*p.grad), 0.0f) << p.name;  // untouched branch
-    } else {
-      EXPECT_GT(max_abs(*p.grad), 0.0f) << p.name;  // shared + x2 branch
-    }
-  }
-}
-
-TEST(MdsrModel, TrainsAlternatingScales) {
-  Rng rng(56);
-  Mdsr mdsr(MdsrConfig::tiny(), rng);
-  nn::Adam adam(mdsr.parameters(), 1e-3);
-  const Tensor lr = random_image({1, 3, 6, 6}, 57);
-  const Tensor t2 = random_image({1, 3, 12, 12}, 58);
-  const Tensor t4 = random_image({1, 3, 24, 24}, 59);
-  double first = 0.0;
-  double last = 0.0;
-  for (int step = 0; step < 30; ++step) {
-    const bool use2 = step % 2 == 0;
-    mdsr.select_scale(use2 ? 2 : 4);
-    mdsr.zero_grad();
-    const nn::LossResult loss =
-        nn::l1_loss(mdsr.forward(lr), use2 ? t2 : t4);
-    mdsr.backward(loss.grad);
-    adam.step();
-    if (step < 2) first += loss.value / 2;
-    if (step >= 28) last += loss.value / 2;
-  }
-  EXPECT_LT(last, first);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv_layer.hpp"
-#include "nn/linear.hpp"
 #include "nn/mean_shift.hpp"
 #include "nn/module.hpp"
 #include "nn/resblock.hpp"
@@ -172,33 +171,6 @@ TEST(Conv2dLayer, BackwardBeforeForwardThrows) {
   spec.out_channels = 1;
   Conv2d conv(spec, rng);
   EXPECT_THROW(conv.backward(Tensor({1, 1, 2, 2})), Error);
-}
-
-TEST(LinearLayer, ForwardMatchesManual) {
-  Rng rng(8);
-  Linear lin(3, 2, rng);
-  auto params = lin.parameters();
-  // w = [[1,2,3],[4,5,6]], b = [0.5, -0.5]
-  *params[0].value = Tensor({2, 3}, {1, 2, 3, 4, 5, 6});
-  *params[1].value = Tensor({2}, {0.5f, -0.5f});
-  Tensor x({1, 3}, {1, 1, 2});
-  const Tensor y = lin.forward(x);
-  EXPECT_FLOAT_EQ(y[0], 1 + 2 + 6 + 0.5f);
-  EXPECT_FLOAT_EQ(y[1], 4 + 5 + 12 - 0.5f);
-}
-
-TEST(LinearLayer, AcceptsNchwInput) {
-  Rng rng(9);
-  Linear lin(8, 4, rng);
-  const Tensor x = random_tensor({2, 8, 1, 1}, 10);
-  const Tensor y = lin.forward(x);
-  EXPECT_EQ(y.shape(), Shape({2, 4}));
-}
-
-TEST(LinearLayer, GradientCheck) {
-  Rng rng(11);
-  Linear lin(4, 3, rng);
-  check_module_gradients(lin, random_tensor({2, 4}, 12), 13);
 }
 
 TEST(ResBlockTest, SkipConnectionAtZeroScale) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -80,7 +81,7 @@ TEST(Tracer, RecordsCompleteInstantAndCounterEvents) {
   EXPECT_EQ(tracer.thread_count(), 1u);
 
   const std::string json = tracer.to_chrome_trace_json();
-  EXPECT_TRUE(json_valid(json));
+  EXPECT_NO_THROW(json::parse(json));
   const auto events = parse_trace_events(json);
   // Two "M" process-name metadata events precede the recorded three.
   std::size_t x = 0, i = 0, c = 0;
@@ -116,7 +117,7 @@ TEST(Tracer, SpanNestingUnderConcurrentProducers) {
   EXPECT_EQ(tracer.dropped_count(), 0u);
 
   const std::string json = tracer.to_chrome_trace_json();
-  ASSERT_TRUE(json_valid(json));
+  ASSERT_NO_THROW(json::parse(json));
   const auto events = parse_trace_events(json);
   // Chrome-trace nesting: per (pid, tid), every child span lies within
   // its parent's [ts, ts+dur] envelope. Reconstruct with a per-tid stack
@@ -328,7 +329,7 @@ TEST(Metrics, RegistryExportsJsonAndPrometheus) {
   hist->observe(3.0);
 
   const std::string json = reg.to_json();
-  EXPECT_TRUE(json_valid(json));
+  EXPECT_NO_THROW(json::parse(json));
   EXPECT_NE(json.find("\"req/total\":7"), std::string::npos);
   EXPECT_NE(json.find("\"queue/depth\":3.5"), std::string::npos);
   EXPECT_NE(json.find("\"lat/ms\""), std::string::npos);
@@ -395,15 +396,39 @@ TEST(Metrics, GetOrCreateSharesAndMakeRebinds) {
 }
 
 TEST(TraceSummary, ValidatorRejectsMalformedJson) {
-  EXPECT_TRUE(json_valid("[]"));
-  EXPECT_TRUE(json_valid("{\"a\":[1,2.5e-3,\"x\\n\",true,null]}"));
-  EXPECT_FALSE(json_valid(""));
-  EXPECT_FALSE(json_valid("[1,]"));
-  EXPECT_FALSE(json_valid("{\"a\":1"));
-  EXPECT_FALSE(json_valid("[} "));
-  EXPECT_FALSE(json_valid("[1] trailing"));
+  EXPECT_NO_THROW(json::parse("[]"));
+  EXPECT_NO_THROW(json::parse("{\"a\":[1,2.5e-3,\"x\\n\",true,null]}"));
+  for (const char* bad : {"", "[1,]", "{\"a\":1", "[} ", "[1] trailing"}) {
+    EXPECT_THROW(json::parse(bad), Error) << bad;
+    EXPECT_THROW(parse_trace_events(bad), Error) << bad;
+  }
   EXPECT_THROW(parse_trace_events("{\"traceEvents\":"), Error);
+  // Valid JSON of the wrong shape: a scalar top level, a non-object event,
+  // a wrapper without an event array.
   EXPECT_THROW(parse_trace_events("42"), Error);
+  EXPECT_THROW(parse_trace_events("[{\"name\":\"a\"},7]"), Error);
+  EXPECT_THROW(parse_trace_events("{\"traceEvents\":{}}"), Error);
+  EXPECT_THROW(parse_trace_events("{\"other\":[]}"), Error);
+
+  // Containers nested inside args are skipped and bool fields ignored; the
+  // scalar fields around them still land.
+  const auto events = parse_trace_events(
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":true,"
+      "\"dur\":2,\"pid\":false,\"args\":{\"deep\":{\"x\":1},\"list\":[1],"
+      "\"n\":3,\"flag\":true,\"s\":\"v\"}}]}");
+  ASSERT_EQ(events.size(), 1u);
+  const ParsedEvent& e = events.front();
+  EXPECT_EQ(e.name, "a");
+  EXPECT_EQ(e.phase, 'X');
+  EXPECT_EQ(e.ts_us, 0.0);
+  EXPECT_EQ(e.dur_us, 2.0);
+  EXPECT_EQ(e.pid, 0);
+  ASSERT_EQ(e.args.size(), 1u);
+  EXPECT_EQ(e.args.front().first, "n");
+  EXPECT_EQ(e.args.front().second, 3.0);
+  ASSERT_EQ(e.str_args.size(), 1u);
+  EXPECT_EQ(e.str_args.front().first, "s");
+  EXPECT_EQ(e.str_args.front().second, "v");
 }
 
 TEST(TraceSummary, AggregatesPerCategoryAndNormalizesNames) {
@@ -457,7 +482,7 @@ TEST(Pipeline, TrainStepProducesSpansAndPhaseHistograms) {
   session.run_steps(3);
 
   const std::string json = Tracer::instance().to_chrome_trace_json();
-  ASSERT_TRUE(json_valid(json));
+  ASSERT_NO_THROW(json::parse(json));
   const auto events = parse_trace_events(json);
   std::set<std::string> cats;
   for (const auto& e : events) {
@@ -469,7 +494,7 @@ TEST(Pipeline, TrainStepProducesSpansAndPhaseHistograms) {
   EXPECT_TRUE(cats.count("mpisim"));
 
   const std::string metrics = MetricsRegistry::global().to_json();
-  ASSERT_TRUE(json_valid(metrics));
+  ASSERT_NO_THROW(json::parse(metrics));
   for (const char* name :
        {"train/step_ms", "train/data_ms", "train/forward_ms",
         "train/backward_ms", "train/allreduce_ms", "train/optimizer_ms"}) {
@@ -505,8 +530,6 @@ TEST(TraceSummary, CommLanesMergeByIntervalUnion) {
   // count 2 ops, 0.150 ms covered (not 0.200).
   EXPECT_NE(text.find("0.150"), std::string::npos) << text;
   EXPECT_EQ(text.find("0.200"), std::string::npos) << text;
-  EXPECT_DOUBLE_EQ(interval_union_us({{100.0, 200.0}, {150.0, 250.0}}),
-                   150.0);
 }
 
 TEST(TraceSummary, SelfTimeExcludesNestedSpans) {
@@ -562,7 +585,7 @@ TEST(TraceSummary, JsonExportMatchesRows) {
   e.ts_us = 5.0;
   e.dur_us = 40.0;
   const std::string json = trace_summary_json({e});
-  ASSERT_TRUE(json_valid(json)) << json;
+  ASSERT_NO_THROW(json::parse(json)) << json;
   EXPECT_NE(json.find("\"schema\":\"dlsr-trace-summary-v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"name\":\"forward\""), std::string::npos);
@@ -585,7 +608,7 @@ TEST(Metrics, HistogramJsonExportsBucketBoundsAndCounts) {
   EXPECT_EQ(snap.buckets[kHistogramBucketBounds.size()], 1u);
 
   const std::string json = reg.to_json();
-  ASSERT_TRUE(json_valid(json));
+  ASSERT_NO_THROW(json::parse(json));
   // Every fixed bound appears as an "le" edge, the overflow as null, and
   // the per-bucket counts ride along.
   EXPECT_NE(json.find("\"le\":0.5,\"count\":2"), std::string::npos) << json;
@@ -639,7 +662,7 @@ TEST(TraceContext, SpanArgsCarryNumericContextIds) {
     work_span = span.context().span_id;
   }
   const std::string json = Tracer::instance().to_chrome_trace_json();
-  ASSERT_TRUE(json_valid(json));
+  ASSERT_NO_THROW(json::parse(json));
   const auto events = parse_trace_events(json);
   const auto it = std::find_if(
       events.begin(), events.end(),
@@ -664,7 +687,7 @@ TEST(TraceContext, FlowEventsExportArrowsThatJoinOnCatAndId) {
   tracer.complete("consumer", "test", 20.0, 5.0);
   tracer.flow(EventPhase::FlowFinish, id, "hop", "test", 21.0);
   const std::string json = tracer.to_chrome_trace_json();
-  ASSERT_TRUE(json_valid(json));
+  ASSERT_NO_THROW(json::parse(json));
   // Chrome flow-event grammar: phases s/f joined by a top-level id, each
   // endpoint bound to its enclosing slice ("bp":"e").
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos) << json;
@@ -720,7 +743,7 @@ TEST(TraceStore, TailSamplingKeepsErrorsTopKSlowestAndSampled) {
   EXPECT_EQ(snap[0].reason, "slow");
 
   const std::string json = store.to_json();
-  ASSERT_TRUE(json_valid(json)) << json;
+  ASSERT_NO_THROW(json::parse(json)) << json;
   EXPECT_NE(json.find("\"schema\":\"dlsr-tracez-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"finished\":6"), std::string::npos);
   EXPECT_NE(json.find("\"retained\":4"), std::string::npos);
@@ -746,7 +769,7 @@ TEST(TraceStore, RecordedSpansSurviveIntoTraceJson) {
   EXPECT_EQ(t.spans[1].parent_span_id, 100u);
 
   const std::string json = store.trace_json(42);
-  ASSERT_TRUE(json_valid(json)) << json;
+  ASSERT_NO_THROW(json::parse(json)) << json;
   EXPECT_NE(json.find("\"name\":\"forward\""), std::string::npos);
   EXPECT_NE(json.find("\"span_id\":101"), std::string::npos);
   EXPECT_NE(json.find("\"parent_span_id\":100"), std::string::npos);
@@ -806,7 +829,7 @@ TEST(Metrics, HistogramExemplarsLinkBucketsToTraces) {
   EXPECT_NE(prom.find("# {trace_id=\"91\"} 7"), std::string::npos) << prom;
 
   const std::string json = reg.to_json();
-  ASSERT_TRUE(json_valid(json));
+  ASSERT_NO_THROW(json::parse(json));
   EXPECT_NE(json.find("\"exemplar\":{\"trace_id\":77,\"value\":0.4}"),
             std::string::npos)
       << json;

@@ -1,12 +1,14 @@
 // Cross-cutting property tests: algebraic invariants that must hold for
 // arbitrary inputs (linearity of convolution, adjointness of resampling,
 // permutation-invariance of the optimizer, conservation through the
-// distributed stack).
+// distributed stack, the interval algebra against a brute-force sweep).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "common/intervals.hpp"
 #include "common/rng.hpp"
 #include "image/resize.hpp"
 #include "mpisim/data_allreduce.hpp"
@@ -177,6 +179,77 @@ TEST_P(SeededProperty, AllreduceConservesTotalSum) {
     }
   }
   EXPECT_NEAR(after, before, 1e-3);
+}
+
+TEST_P(SeededProperty, IntervalAlgebraMatchesUnitStepSweep) {
+  // Integer endpoints make a unit-step sweep an exact oracle: cell
+  // [t, t + 1) is covered iff some interval has start <= t < end. Random
+  // sets come unsorted, with nested, touching, zero-length and reversed
+  // intervals.
+  using intervals::Interval;
+  constexpr int kCells = 48;
+  Rng rng(GetParam() + 13);
+  const auto random_set = [&] {
+    std::vector<Interval> set;
+    const std::size_t n = rng.uniform_index(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double a = static_cast<double>(rng.uniform_index(41));
+      const double b = static_cast<double>(rng.uniform_index(41));
+      set.emplace_back(a, b);
+      if (rng.uniform() < 0.3) {  // starts where [a, b) ends
+        set.emplace_back(b, b + static_cast<double>(rng.uniform_index(5)));
+      }
+    }
+    return set;
+  };
+  const auto cells = [&](const std::vector<Interval>& set) {
+    std::vector<bool> on(kCells, false);
+    for (const auto& [s, e] : set) {
+      for (int t = 0; t < kCells; ++t) {
+        on[t] = on[t] || (s <= t && t < e);
+      }
+    }
+    return on;
+  };
+  const auto count = [](const std::vector<bool>& on) {
+    return static_cast<double>(std::count(on.begin(), on.end(), true));
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<Interval> a = random_set();
+    const std::vector<Interval> b = random_set();
+    const std::vector<bool> on_a = cells(a);
+    const std::vector<bool> on_b = cells(b);
+
+    const std::vector<Interval> merged = intervals::merge(a);
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_LT(merged[i].first, merged[i].second);
+      if (i > 0) {
+        EXPECT_GT(merged[i].first, merged[i - 1].second);  // gap between
+      }
+    }
+    EXPECT_EQ(cells(merged), on_a);
+    EXPECT_EQ(intervals::covered(a), count(on_a));
+    EXPECT_EQ(intervals::covered(merged), count(on_a));
+
+    std::vector<bool> a_not_b = on_a;
+    for (int t = 0; t < kCells; ++t) {
+      a_not_b[t] = on_a[t] && !on_b[t];
+    }
+    EXPECT_EQ(intervals::subtract_covered(merged, intervals::merge(b)),
+              count(a_not_b));
+
+    const double lo = static_cast<double>(rng.uniform_index(41));
+    const double hi = lo + static_cast<double>(rng.uniform_index(20));
+    std::vector<bool> in_window = on_a;
+    for (int t = 0; t < kCells; ++t) {
+      in_window[t] = on_a[t] && lo <= t && t < hi;
+    }
+    const std::vector<Interval> clipped = intervals::clip(merged, lo, hi);
+    EXPECT_EQ(cells(clipped), in_window);
+    EXPECT_EQ(intervals::covered(clipped), count(in_window));
+  }
+  // The comm-slot overlap case trace-summary relies on.
+  EXPECT_EQ(intervals::covered({{100.0, 200.0}, {150.0, 250.0}}), 150.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,

@@ -1,10 +1,9 @@
-// Tests for pixel shuffle / unshuffle and pooling kernels.
+// Tests for pixel shuffle / unshuffle.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/pixel_shuffle.hpp"
-#include "tensor/pooling.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace dlsr {
@@ -74,54 +73,6 @@ TEST(PixelShuffle, Validation) {
   const Tensor in = random_tensor({1, 3, 2, 2}, 9);
   EXPECT_THROW(pixel_shuffle(in, 2), Error);  // 3 % 4 != 0
   EXPECT_THROW(pixel_unshuffle(random_tensor({1, 1, 3, 3}, 9), 2), Error);
-}
-
-TEST(MaxPool, KnownValues) {
-  Tensor in({1, 1, 2, 2}, {1, 5, 3, 2});
-  std::vector<std::size_t> argmax;
-  const Tensor out = max_pool2d(in, 2, 2, 0, &argmax);
-  EXPECT_EQ(out.shape(), Shape({1, 1, 1, 1}));
-  EXPECT_EQ(out[0], 5.0f);
-  ASSERT_EQ(argmax.size(), 1u);
-  EXPECT_EQ(argmax[0], 1u);
-}
-
-TEST(MaxPool, StrideAndPadding) {
-  // ResNet stem shape: 3x3/2 pad 1 on even extent.
-  const Tensor in = random_tensor({1, 2, 8, 8}, 3);
-  const Tensor out = max_pool2d(in, 3, 2, 1, nullptr);
-  EXPECT_EQ(out.shape(), Shape({1, 2, 4, 4}));
-}
-
-TEST(MaxPool, BackwardRoutesToArgmax) {
-  Tensor in({1, 1, 2, 2}, {1, 5, 3, 2});
-  std::vector<std::size_t> argmax;
-  const Tensor out = max_pool2d(in, 2, 2, 0, &argmax);
-  Tensor grad_out(out.shape());
-  grad_out[0] = 7.0f;
-  const Tensor grad_in = max_pool2d_backward(in.shape(), grad_out, argmax);
-  EXPECT_EQ(grad_in[1], 7.0f);
-  EXPECT_EQ(grad_in[0], 0.0f);
-  EXPECT_EQ(grad_in[2], 0.0f);
-}
-
-TEST(GlobalAvgPool, MeanAndBackward) {
-  Tensor in({1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});
-  const Tensor out = global_avg_pool2d(in);
-  EXPECT_EQ(out.shape(), Shape({1, 2, 1, 1}));
-  EXPECT_FLOAT_EQ(out[0], 2.5f);
-  EXPECT_FLOAT_EQ(out[1], 25.0f);
-
-  Tensor grad_out({1, 2, 1, 1}, {4.0f, 8.0f});
-  const Tensor grad_in = global_avg_pool2d_backward(in.shape(), grad_out);
-  EXPECT_FLOAT_EQ(grad_in[0], 1.0f);   // 4 / 4 elements
-  EXPECT_FLOAT_EQ(grad_in[7], 2.0f);   // 8 / 4 elements
-}
-
-TEST(Pooling, Validation) {
-  const Tensor in = random_tensor({1, 1, 2, 2}, 1);
-  EXPECT_THROW(max_pool2d(in, 5, 1, 0, nullptr), Error);
-  EXPECT_THROW(global_avg_pool2d(Tensor({2, 2})), Error);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/experiments.hpp"
@@ -230,11 +231,11 @@ TEST(TelemetryServer, EndpointsServeMetricsHealthAndSeries) {
 
   const HttpResponse json = telemetry.handle({"GET", "/metrics.json", ""});
   EXPECT_EQ(json.status, 200);
-  EXPECT_TRUE(json_valid(json.body)) << json.body;
+  EXPECT_NO_THROW(json::parse(json.body)) << json.body;
 
   const HttpResponse health = telemetry.handle({"GET", "/healthz", ""});
   EXPECT_EQ(health.status, 200);
-  EXPECT_TRUE(json_valid(health.body)) << health.body;
+  EXPECT_NO_THROW(json::parse(health.body)) << health.body;
   EXPECT_NE(health.body.find("\"status\":\"ok\""), std::string::npos)
       << health.body;
   EXPECT_NE(health.body.find("\"heartbeat_age_s\":null"), std::string::npos);
@@ -242,13 +243,13 @@ TEST(TelemetryServer, EndpointsServeMetricsHealthAndSeries) {
   const HttpResponse series =
       telemetry.handle({"GET", "/seriesz", "window=30"});
   EXPECT_EQ(series.status, 200);
-  EXPECT_TRUE(json_valid(series.body)) << series.body;
+  EXPECT_NO_THROW(json::parse(series.body)) << series.body;
   EXPECT_EQ(telemetry.handle({"GET", "/seriesz", "window=bogus"}).status,
             400);
 
   const HttpResponse alerts = telemetry.handle({"GET", "/alertz", ""});
   EXPECT_EQ(alerts.status, 200);
-  EXPECT_TRUE(json_valid(alerts.body)) << alerts.body;
+  EXPECT_NO_THROW(json::parse(alerts.body)) << alerts.body;
 
   EXPECT_EQ(telemetry.handle({"GET", "/unknown", ""}).status, 404);
   const HttpResponse index = telemetry.handle({"GET", "/", ""});
@@ -284,7 +285,7 @@ TEST(TelemetryServer, TracezServesRetainedTracesAndDrillDown) {
 
   const HttpResponse list = telemetry.handle({"GET", "/tracez", ""});
   EXPECT_EQ(list.status, 200);
-  ASSERT_TRUE(json_valid(list.body)) << list.body;
+  ASSERT_NO_THROW(json::parse(list.body)) << list.body;
   EXPECT_NE(list.body.find("\"schema\":\"dlsr-tracez-v1\""),
             std::string::npos);
   EXPECT_NE(list.body.find("\"trace_id\":9001"), std::string::npos);
@@ -292,7 +293,7 @@ TEST(TelemetryServer, TracezServesRetainedTracesAndDrillDown) {
   const HttpResponse one =
       telemetry.handle({"GET", "/tracez", "trace_id=9001"});
   EXPECT_EQ(one.status, 200);
-  ASSERT_TRUE(json_valid(one.body)) << one.body;
+  ASSERT_NO_THROW(json::parse(one.body)) << one.body;
   EXPECT_NE(one.body.find("\"name\":\"forward\""), std::string::npos);
   EXPECT_NE(one.body.find("\"parent_span_id\":1"), std::string::npos);
 
@@ -455,7 +456,7 @@ TEST(TelemetryServer, OverloadAlertAppearsAtAlertz) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_TRUE(json_valid(body)) << body;
+  EXPECT_NO_THROW(json::parse(body)) << body;
   EXPECT_NE(body.find("\"rule\":\"serve-deadline-miss\""),
             std::string::npos)
       << body;
@@ -493,7 +494,7 @@ TEST(StragglerDetector, FlagsPersistentlySlowRank) {
   EXPECT_EQ(report.flagged[0].rank, 3u);
   EXPECT_GT(report.flagged[0].score, cfg.k_mad);
   EXPECT_GE(report.flagged[0].first_flagged_step, cfg.warmup_steps);
-  EXPECT_TRUE(json_valid(report.to_json())) << report.to_json();
+  EXPECT_NO_THROW(json::parse(report.to_json())) << report.to_json();
 }
 
 TEST(StragglerDetector, HealthyFleetStaysClean) {

@@ -2,8 +2,8 @@
 //
 // Subcommands:
 //   simulate  — run the Lassen-scale training simulation and print a
-//               throughput/efficiency table (optionally CSV, optionally a
-//               Chrome-trace timeline of one run).
+//               throughput/efficiency table (optionally CSV; --trace-out
+//               writes the simulated schedule as a Chrome trace).
 //   profile   — hvprof: bucketed allreduce profile under a backend config.
 //   train     — functional data-parallel training on synthetic DIV2K with
 //               checkpointing.
@@ -68,7 +68,6 @@
 #include "core/training_session.hpp"
 #include "data/dataset.hpp"
 #include "data/stream.hpp"
-#include "hvd/timeline.hpp"
 #include "image/eval.hpp"
 #include "mem/plan.hpp"
 #include "mem/registry.hpp"
@@ -361,8 +360,6 @@ int cmd_simulate(int argc, const char* const* argv) {
   flags.define("nodes", "comma list of node counts", "1,2,4,8,16,32,64,128");
   flags.define("steps", "training steps per point", "30");
   flags.define("csv", "emit CSV instead of a table", "false");
-  flags.define("timeline", "write a Chrome-trace JSON for the largest run",
-               std::nullopt);
   define_fusion_flags(flags);
   define_data_flags(flags);
   define_perturb_flag(flags);
@@ -412,13 +409,6 @@ int cmd_simulate(int argc, const char* const* argv) {
     print_stragglers(r, label);
   }
 
-  if (flags.has("timeline")) {
-    hvd::TimelineWriter timeline;
-    trainer.run(kinds.back(), nodes.back(), steps, &timeline);
-    timeline.write(flags.get("timeline"));
-    std::printf("timeline written to %s (open in chrome://tracing)\n",
-                flags.get("timeline").c_str());
-  }
   obs_end(flags);
   return 0;
 }
