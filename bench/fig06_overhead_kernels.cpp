@@ -14,6 +14,7 @@
 #include "models/edsr_graph.hpp"
 #include "mpisim/env.hpp"
 #include "perf/v100_model.hpp"
+#include "sim/gpu_memory.hpp"
 #include "sim/topology.hpp"
 
 int main() {
@@ -41,15 +42,15 @@ int main() {
       {"CVD pinned + MV2 (Fig. 7)", mpisim::MpiEnv::mpi_opt()},
   };
 
+  const std::size_t local = sim::ClusterSpec::lassen(1).gpus_per_node;
+  const std::size_t gpu_bytes = perf::GpuSpec::v100_16gb().memory_bytes;
   Table t({"Policy", "IPC", "Foreign ctx/GPU", "Ctx GB/GPU",
            "Free for training (GB)", "Max batch"});
   for (const Policy& p : policies) {
-    sim::Cluster cluster(sim::ClusterSpec::lassen(1));
-    const std::size_t local = cluster.gpus_per_node();
     const std::size_t foreign = p.env.foreign_contexts_per_gpu(local);
-    // Book every process's context(s) on the accountant of GPU 0. Tags
-    // are interned once; the booking loop is index-only.
-    sim::GpuMemory& gpu = cluster.gpu_memory(0);
+    // Book every process's context(s) on GPU 0's accountant. Tags are
+    // interned once; the booking loop is index-only.
+    sim::GpuMemory gpu("gpu0", gpu_bytes);
     const sim::GpuMemory::TagId own = gpu.intern("own-context");
     const sim::GpuMemory::TagId foreign_tag = gpu.intern("foreign-contexts");
     if (!gpu.allocate(own, perf::kCudaContextBytes)) {
@@ -66,7 +67,7 @@ int main() {
           perf_model.training_memory_bytes(graph, b,
                                            foreign *
                                                perf::kCudaContextBytes);
-      if (need <= cluster.spec().gpu_memory_bytes) {
+      if (need <= gpu_bytes) {
         max_batch = b;
       }
     }

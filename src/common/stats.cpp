@@ -47,6 +47,10 @@ void RunningStats::merge(const RunningStats& other) {
 }
 
 double percentile(std::vector<double> values, double p) {
+  return percentile_inplace(values, p);
+}
+
+double percentile_inplace(std::span<double> values, double p) {
   if (values.empty()) {
     return 0.0;
   }
@@ -57,7 +61,6 @@ double percentile(std::vector<double> values, double p) {
   } else if (p > 1.0) {
     p = 1.0;
   }
-  std::sort(values.begin(), values.end());
   if (values.size() == 1) {
     return values.front();
   }
@@ -65,7 +68,13 @@ double percentile(std::vector<double> values, double p) {
   const std::size_t lo = static_cast<std::size_t>(idx);
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  // After the selection everything past `lo` is >= values[lo], so the
+  // next order statistic is the smallest element of that tail.
+  std::nth_element(values.begin(), values.begin() + lo, values.end());
+  const double at_lo = values[lo];
+  const double at_hi =
+      hi == lo ? at_lo : *std::min_element(values.begin() + hi, values.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 }  // namespace dlsr

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace dlsr {
@@ -34,8 +35,13 @@ class RunningStats {
 /// Linear interpolation between order statistics. Total on all inputs so
 /// metrics paths never throw or produce NaN: an empty series yields 0.0, a
 /// single sample yields that sample for every p, and p is clamped to [0,1]
-/// (p<=0 -> min, p>=1 -> max, NaN p -> min).
-/// Copies and sorts — intended for end-of-run summaries, not hot paths.
+/// (p<=0 -> min, p>=1 -> max, NaN p -> min). The two order statistics are
+/// picked by selection (nth_element, then the minimum of the part above),
+/// so a call is O(n) and bit-identical to interpolating a sorted copy.
 double percentile(std::vector<double> values, double p);
+
+/// percentile() without the copy: reorders `values` in place and
+/// allocates nothing. Hot paths keep one scratch buffer and call this.
+double percentile_inplace(std::span<double> values, double p);
 
 }  // namespace dlsr

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -118,8 +117,8 @@ StepTimeline TensorFusionEngine::simulate_step(
   std::vector<Pending> pending;
   pending.reserve(grads.size());
   for (const auto& g : grads) {
-    pending.push_back({g.bytes, g.ready_fraction * backward_duration,
-                       std::hash<std::string>{}(g.name)});
+    DLSR_CHECK(g.id != 0, "gradient " + g.name + " has no id");
+    pending.push_back({g.bytes, g.ready_fraction * backward_duration, g.id});
   }
   // Model gradients are fp32; a compressed wire shrinks the payload on the
   // wire (the backend sizes service with comm::wire_bytes) and charges an

@@ -1,5 +1,7 @@
 #include "models/model_graph.hpp"
 
+#include <functional>
+
 #include "common/error.hpp"
 
 namespace dlsr::models {
@@ -54,6 +56,7 @@ std::vector<GradTensor> ModelGraph::gradient_sequence() const {
       g.name = it->name + ".grad";
       g.bytes = it->param_bytes();
       g.ready_fraction = bwd_total > 0.0 ? done / bwd_total : 1.0;
+      g.id = std::hash<std::string>{}(g.name);
       out.push_back(std::move(g));
     }
   }

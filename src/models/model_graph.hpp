@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,10 @@ struct GradTensor {
   /// Fraction of total backward FLOPs completed when this tensor is ready
   /// (gradients surface back-to-front, so the output-side layers are early).
   double ready_fraction = 0.0;
+  /// Nonzero identity, std::hash of `name`: Horovod's response-cache key
+  /// in the fusion engine, and the buffer id a tensor sent alone registers
+  /// under. Set once when the list is built, not on every simulated step.
+  std::uint64_t id = 0;
 };
 
 /// Ordered layer list plus derived totals.

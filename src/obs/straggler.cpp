@@ -21,56 +21,61 @@ StragglerDetector::StragglerDetector(std::size_t num_ranks,
   for (std::size_t r = 0; r < num_ranks; ++r) {
     ranks_[r].info.rank = r;
   }
+  ring_.assign(config_.window * num_ranks, 0.0);
+  sums_.assign(num_ranks, 0.0);
+  means_.assign(num_ranks, 0.0);
+  scratch_.assign(num_ranks, 0.0);
+  newly_flagged_.reserve(num_ranks);
 }
 
-std::vector<std::size_t> StragglerDetector::record_step(
+const std::vector<std::size_t>& StragglerDetector::record_step(
     const std::vector<double>& per_rank_s) {
-  DLSR_CHECK(per_rank_s.size() == ranks_.size(),
+  const std::size_t n = ranks_.size();
+  DLSR_CHECK(per_rank_s.size() == n,
              strfmt("record_step: got %zu ranks, expected %zu",
-                    per_rank_s.size(), ranks_.size()));
+                    per_rank_s.size(), n));
   ++steps_;
+  newly_flagged_.clear();
 
-  // Push this step into each rank's rolling ring and refresh rolling means.
-  std::vector<double> means(ranks_.size());
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    RankState& state = ranks_[r];
-    if (state.ring.empty()) {
-      state.ring.resize(config_.window, 0.0);
-    }
-    if (state.count == config_.window) {
-      state.sum -= state.ring[state.head];
-    } else {
-      ++state.count;
-    }
-    state.ring[state.head] = per_rank_s[r];
-    state.sum += per_rank_s[r];
-    state.head = (state.head + 1) % config_.window;
-    means[r] = state.sum / static_cast<double>(state.count);
+  // Push this step into the rolling ring and refresh rolling means.
+  const bool full = count_ == config_.window;
+  if (!full) {
+    ++count_;
   }
+  double* row = ring_.data() + head_ * n;
+  const double count = static_cast<double>(count_);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (full) {
+      sums_[r] -= row[r];
+    }
+    row[r] = per_rank_s[r];
+    sums_[r] += per_rank_s[r];
+    means_[r] = sums_[r] / count;
+  }
+  head_ = (head_ + 1) % config_.window;
 
-  std::vector<std::size_t> newly_flagged;
-  if (steps_ < config_.warmup_steps || ranks_.size() < 3) {
-    return newly_flagged;
+  if (steps_ < config_.warmup_steps || n < 3) {
+    return newly_flagged_;
   }
 
   // Robust fleet center/spread over rolling means: median and MAD.
-  const double med = percentile(means, 0.5);
-  std::vector<double> dev(means.size());
-  for (std::size_t r = 0; r < means.size(); ++r) {
-    dev[r] = std::fabs(means[r] - med);
+  std::copy(means_.begin(), means_.end(), scratch_.begin());
+  const double med = percentile_inplace(scratch_, 0.5);
+  for (std::size_t r = 0; r < n; ++r) {
+    scratch_[r] = std::fabs(means_[r] - med);
   }
-  const double mad = percentile(std::move(dev), 0.5);
+  const double mad = percentile_inplace(scratch_, 0.5);
 
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     RankState& state = ranks_[r];
-    const double excess = means[r] - med;
+    const double excess = means_[r] - med;
     const double rel_excess = med > 0.0 ? excess / med : 0.0;
     const double score = mad > 0.0 ? excess / mad : 0.0;
     const bool over = score > config_.k_mad &&
                       rel_excess > config_.min_rel_excess;
     if (over) {
       ++state.streak;
-      state.info.mean_s = means[r];
+      state.info.mean_s = means_[r];
       state.info.median_s = med;
       state.info.mad_s = mad;
       state.info.score = score;
@@ -79,14 +84,14 @@ std::vector<std::size_t> StragglerDetector::record_step(
         state.flagged = true;
         state.info.first_flagged_step =
             static_cast<std::size_t>(steps_) - 1;
-        newly_flagged.push_back(r);
+        newly_flagged_.push_back(r);
       }
     } else {
       state.streak = 0;
       state.flagged = false;
     }
   }
-  return newly_flagged;
+  return newly_flagged_;
 }
 
 StragglerReport StragglerDetector::report() const {

@@ -15,6 +15,12 @@
 // simulator's lognormal compute jitter (sigma 0.07): at 512 ranks the
 // healthy-fleet false-positive rate is zero while a 1.3x perturbed rank is
 // flagged within ~window steps.
+//
+// Cost: the simulator records every step of every simulated point, so a
+// step is O(ranks) and allocates nothing. The rolling windows are one flat
+// window x ranks ring (every rank is pushed every step, so all ranks share
+// its head and count), and both medians are taken by selection in a scratch
+// buffer the detector owns.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +63,10 @@ class StragglerDetector {
   /// Records one synchronous step's per-rank durations (seconds);
   /// `per_rank_s.size()` must equal the construction-time rank count.
   /// Returns the ranks that crossed the persistence threshold on THIS step
-  /// (for emitting trace instants exactly once per flag edge).
-  std::vector<std::size_t> record_step(const std::vector<double>& per_rank_s);
+  /// (for emitting trace instants exactly once per flag edge). The list is
+  /// the detector's own and stays valid until the next record_step().
+  const std::vector<std::size_t>& record_step(
+      const std::vector<double>& per_rank_s);
 
   std::size_t num_ranks() const { return ranks_.size(); }
   std::uint64_t steps() const { return steps_; }
@@ -68,10 +76,6 @@ class StragglerDetector {
 
  private:
   struct RankState {
-    std::vector<double> ring;   ///< rolling step times, capacity = window
-    std::size_t head = 0;
-    std::size_t count = 0;
-    double sum = 0.0;           ///< running sum of the ring
     std::size_t streak = 0;     ///< consecutive over-threshold steps
     bool flagged = false;
     StragglerRank info;
@@ -79,6 +83,15 @@ class StragglerDetector {
 
   StragglerConfig config_;
   std::vector<RankState> ranks_;
+  /// Rolling step times: `window` rows of one value per rank; row `head_`
+  /// is the next to overwrite.
+  std::vector<double> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;       ///< filled rows (<= window)
+  std::vector<double> sums_;    ///< running sum of each rank's window
+  std::vector<double> means_;   ///< rolling mean of each rank, this step
+  std::vector<double> scratch_;  ///< selection buffer for median and MAD
+  std::vector<std::size_t> newly_flagged_;
   std::uint64_t steps_ = 0;
 };
 

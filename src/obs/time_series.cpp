@@ -5,6 +5,7 @@
 
 #include "common/stats.hpp"
 #include "common/strings.hpp"
+#include "obs/trace.hpp"
 
 namespace dlsr::obs {
 
@@ -146,7 +147,7 @@ double TimeSeriesStore::percentile_window(const std::string& name, double p,
   for (const SeriesPoint& point : window(name, window_s, now_s)) {
     values.push_back(point.value);
   }
-  return percentile(std::move(values), p);
+  return percentile_inplace(values, p);
 }
 
 std::string TimeSeriesStore::to_json(double window_s, double now_s_in) const {
@@ -166,22 +167,15 @@ std::string TimeSeriesStore::to_json(double window_s, double now_s_in) const {
         points.size() >= 2 ? points.back().value - points.front().value : 0.0;
     const double dt =
         points.size() >= 2 ? points.back().t_s - points.front().t_s : 0.0;
-    std::string escaped;
-    for (const char c : name) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-      }
-      escaped += c;
-    }
-    // Named results: a move inside the argument list would race the other
-    // copies (argument evaluation order is unspecified).
-    const double p50 = percentile(values, 0.50);
-    const double p95 = percentile(values, 0.95);
-    const double p99 = percentile(std::move(values), 0.99);
+    // Each selection leaves `values` a permutation of the window, which is
+    // all the next one needs; no copy, no sort.
+    const double p50 = percentile_inplace(values, 0.50);
+    const double p95 = percentile_inplace(values, 0.95);
+    const double p99 = percentile_inplace(values, 0.99);
     os << strfmt(
         "%s\"%s\":{\"points\":%zu,\"latest\":%.6g,\"delta\":%.6g,"
         "\"rate_per_s\":%.6g,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g}",
-        first ? "" : ",", escaped.c_str(), points.size(),
+        first ? "" : ",", json_escape(name).c_str(), points.size(),
         points.empty() ? 0.0 : points.back().value, d,
         dt > 0.0 ? d / dt : 0.0, p50, p95, p99);
     first = false;

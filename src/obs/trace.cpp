@@ -44,6 +44,8 @@ struct LocalBinding {
 };
 thread_local LocalBinding t_binding;
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -74,8 +76,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 Tracer& Tracer::instance() {
   static Tracer tracer;

@@ -138,6 +138,12 @@ inline constexpr std::int64_t kCommLaneBase = 1000;
 inline constexpr std::int64_t kRequestLaneBase = 2000;
 inline constexpr std::int64_t kRequestLaneCount = 16;
 
+/// Escapes `s` for the inside of a JSON string literal: quote and
+/// backslash, \n \t \r by name, every other control character as \u00XX.
+/// The one escape every obs writer (trace export, trace-merge, /tracez,
+/// /seriesz) uses, so what they write always re-parses.
+std::string json_escape(const std::string& s);
+
 enum class EventPhase : char {
   Complete = 'X',
   Instant = 'i',

@@ -24,24 +24,10 @@ const ParsedEvent* find_anchor(const std::vector<ParsedEvent>& events) {
   return nullptr;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void append_event(std::string& out, const ParsedEvent& e) {
   out += strfmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f",
-                escape(e.name).c_str(), escape(e.cat).c_str(), e.phase,
-                e.ts_us);
+                json_escape(e.name).c_str(), json_escape(e.cat).c_str(),
+                e.phase, e.ts_us);
   if (e.phase == 'X') {
     out += strfmt(",\"dur\":%.3f", e.dur_us);
   }
@@ -55,12 +41,12 @@ void append_event(std::string& out, const ParsedEvent& e) {
     bool first = true;
     for (const auto& [key, value] : e.args) {
       out += strfmt("%s\"%s\":%.10g", first ? "" : ",",
-                    escape(key).c_str(), value);
+                    json_escape(key).c_str(), value);
       first = false;
     }
     for (const auto& [key, value] : e.str_args) {
       out += strfmt("%s\"%s\":\"%s\"", first ? "" : ",",
-                    escape(key).c_str(), escape(value).c_str());
+                    json_escape(key).c_str(), json_escape(value).c_str());
       first = false;
     }
     out += "}";
@@ -72,7 +58,7 @@ void append_thread_name(std::string& out, int tid, const std::string& name) {
   out += strfmt(
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
       "\"args\":{\"name\":\"%s\"}},\n",
-      static_cast<int>(kSimPid), tid, escape(name).c_str());
+      static_cast<int>(kSimPid), tid, json_escape(name).c_str());
 }
 
 }  // namespace

@@ -20,20 +20,6 @@ void store_span(const TraceContext& ctx, const char* name, const char* cat,
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void append_trace_header(std::ostringstream& os, const StoredTrace& t) {
   os << strfmt("{\"trace_id\":%llu,\"duration_ms\":%.3f,\"status\":\"%s\","
                "\"reason\":\"%s\",\"error\":%s,\"span_count\":%zu",

@@ -1,7 +1,5 @@
 #include "sim/topology.hpp"
 
-#include "common/error.hpp"
-#include "common/strings.hpp"
 #include "common/units.hpp"
 
 namespace dlsr::sim {
@@ -11,7 +9,6 @@ ClusterSpec ClusterSpec::lassen(std::size_t nodes) {
   s.nodes = nodes;
   s.gpus_per_node = 4;
   s.ib_ports_per_node = 2;
-  s.gpu_memory_bytes = 16 * GiB;
   // NVLink2 bundle: 3 links x 25 GB/s per GPU.
   s.nvlink_port = LinkSpec{gbps(75.0), microseconds(5.0)};
   // Host staging path: D2H copy + CPU-side shared-memory copy + H2D copy
@@ -34,37 +31,17 @@ Cluster::Cluster(ClusterSpec spec) : spec_(spec) {
              "cluster must have nodes and GPUs");
   DLSR_CHECK(spec_.ib_ports_per_node > 0, "nodes need at least one IB port");
   gpu_ports_.reserve(total_gpus());
-  gpu_memories_.reserve(total_gpus());
   for (std::size_t g = 0; g < total_gpus(); ++g) {
-    gpu_ports_.push_back(std::make_unique<Link>(
-        strfmt("gpu%zu.nvlink", g), spec_.nvlink_port));
-    gpu_memories_.push_back(std::make_unique<GpuMemory>(
-        strfmt("gpu%zu", g), spec_.gpu_memory_bytes));
+    gpu_ports_.emplace_back(spec_.nvlink_port, LinkKind::Nvlink, g);
   }
   host_buses_.reserve(spec_.nodes);
   ib_ports_.reserve(spec_.nodes * spec_.ib_ports_per_node);
   for (std::size_t n = 0; n < spec_.nodes; ++n) {
-    host_buses_.push_back(
-        std::make_unique<Link>(strfmt("node%zu.hostbus", n), spec_.host_bus));
+    host_buses_.emplace_back(spec_.host_bus, LinkKind::HostBus, n);
     for (std::size_t p = 0; p < spec_.ib_ports_per_node; ++p) {
-      ib_ports_.push_back(std::make_unique<Link>(
-          strfmt("node%zu.ib%zu", n, p), spec_.ib_port));
+      ib_ports_.emplace_back(spec_.ib_port, LinkKind::Ib, n, p);
     }
   }
-}
-
-std::size_t Cluster::node_of(std::size_t rank) const {
-  DLSR_CHECK(rank < total_gpus(), "rank out of range");
-  return rank / spec_.gpus_per_node;
-}
-
-std::size_t Cluster::local_of(std::size_t rank) const {
-  DLSR_CHECK(rank < total_gpus(), "rank out of range");
-  return rank % spec_.gpus_per_node;
-}
-
-bool Cluster::same_node(std::size_t rank_a, std::size_t rank_b) const {
-  return node_of(rank_a) == node_of(rank_b);
 }
 
 std::size_t Cluster::socket_of(std::size_t rank) const {
@@ -76,43 +53,10 @@ bool Cluster::same_socket(std::size_t rank_a, std::size_t rank_b) const {
   return same_node(rank_a, rank_b) && socket_of(rank_a) == socket_of(rank_b);
 }
 
-Link& Cluster::gpu_port(std::size_t global_gpu) {
-  DLSR_CHECK(global_gpu < gpu_ports_.size(), "gpu index out of range");
-  return *gpu_ports_[global_gpu];
-}
-
-Link& Cluster::host_bus(std::size_t node) {
-  DLSR_CHECK(node < host_buses_.size(), "node index out of range");
-  return *host_buses_[node];
-}
-
-Link& Cluster::ib_port(std::size_t node, std::size_t port) {
-  DLSR_CHECK(node < spec_.nodes && port < spec_.ib_ports_per_node,
-             "IB port out of range");
-  return *ib_ports_[node * spec_.ib_ports_per_node + port];
-}
-
-Link& Cluster::least_busy_ib(std::size_t node) {
-  Link* best = &ib_port(node, 0);
-  for (std::size_t p = 1; p < spec_.ib_ports_per_node; ++p) {
-    Link& candidate = ib_port(node, p);
-    if (candidate.busy_until() < best->busy_until()) {
-      best = &candidate;
-    }
-  }
-  return *best;
-}
-
-GpuMemory& Cluster::gpu_memory(std::size_t global_gpu) {
-  DLSR_CHECK(global_gpu < gpu_memories_.size(), "gpu index out of range");
-  return *gpu_memories_[global_gpu];
-}
-
 void Cluster::reset() {
-  for (auto& l : gpu_ports_) l->reset();
-  for (auto& l : host_buses_) l->reset();
-  for (auto& l : ib_ports_) l->reset();
-  for (auto& m : gpu_memories_) m->reset();
+  for (auto& l : gpu_ports_) l.reset();
+  for (auto& l : host_buses_) l.reset();
+  for (auto& l : ib_ports_) l.reset();
 }
 
 }  // namespace dlsr::sim

@@ -361,6 +361,28 @@ TEST(TraceMerge, AlignsClocksKeepsRankZeroCommLanesAndTagsRanks) {
   EXPECT_EQ(fwd1->tid, 1);
 }
 
+TEST(TraceMerge, ControlCharactersSurviveAndReparse) {
+  // Names and string args go through the Tracer's JSON escape: a newline
+  // and a raw 0x01 must come back byte for byte, not be dropped.
+  const std::string odd = std::string("layer\n") + '\x01' + "\"q\"\\";
+  ParsedEvent e = step_span(odd, 0, 10.0, 5.0);
+  e.str_args.emplace_back("label" + odd, "v" + odd);
+  const std::string json = merge_rank_traces({{e}});
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+  EXPECT_NO_THROW(json::parse(json)) << json;
+  bool found = false;
+  for (const ParsedEvent& back : parse_trace_events(json)) {
+    if (back.phase == 'X') {
+      EXPECT_EQ(back.name, odd);
+      ASSERT_EQ(back.str_args.size(), 1u);
+      EXPECT_EQ(back.str_args[0].first, "label" + odd);
+      EXPECT_EQ(back.str_args[0].second, "v" + odd);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 // --- end-to-end equivalence against the simulator -----------------------
 
 TEST(AnalyzeTrace, MatchesSimulatorExposedCommAndHvprof) {

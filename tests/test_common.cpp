@@ -1,8 +1,11 @@
 // Tests for dlsr::common — RNG, statistics, strings, tables, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -210,6 +213,45 @@ TEST(Percentile, ClampsOutOfRangeRank) {
   EXPECT_DOUBLE_EQ(percentile(v, 1.5), 3.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_DOUBLE_EQ(percentile(v, nan), 1.0);
+}
+
+TEST(Percentile, SelectionMatchesSortedReferenceBitForBit) {
+  // percentile() selects instead of sorting; it must return the very bits
+  // interpolation over a fully sorted copy gives, duplicates included.
+  const auto sorted_reference = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1) {
+      return v.front();
+    }
+    const double idx = p * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(idx);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = idx - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  const auto bits = [](double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
+  Rng rng(20211);
+  for (std::size_t n = 1; n <= 1000; ++n) {
+    std::vector<double> values(n);
+    // About a third of the draws repeat an earlier value.
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = i > 0 && rng.uniform() < 0.35
+                      ? values[rng.uniform_index(i)]
+                      : rng.normal(0.4, 0.1);
+    }
+    for (const double p : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+      std::vector<double> scratch = values;
+      const double want = sorted_reference(values, p);
+      ASSERT_EQ(bits(percentile(values, p)), bits(want))
+          << "n=" << n << " p=" << p;
+      ASSERT_EQ(bits(percentile_inplace(scratch, p)), bits(want))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(Strings, Strfmt) {

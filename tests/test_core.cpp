@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -222,6 +224,31 @@ TEST_F(TrainerFixture, TimelineRecordsEveryStepAndMessage) {
   // The profiler also counts the per-step metric allreduces.
   EXPECT_LE(fused_starts.size() + kSteps * 2,
             r.profiler.total_count(prof::Collective::Allreduce));
+}
+
+TEST_F(TrainerFixture, TracedRunKeepsLinkCounterTrackNames) {
+  // Links format their counter-track names only while tracing; the names
+  // a trace viewer groups by must stay what they were.
+  auto& tracer = obs::Tracer::instance();
+  tracer.disable();
+  tracer.reset();
+  tracer.enable(/*ring_capacity=*/1 << 18);
+  for (const BackendKind kind : {BackendKind::Mpi, BackendKind::MpiOpt}) {
+    (void)trainer().run(kind, 2, 3);
+  }
+  tracer.disable();
+  const std::vector<obs::ParsedEvent> events =
+      obs::parse_trace_events(tracer.to_chrome_trace_json());
+  tracer.reset();
+  std::set<std::string> tracks;
+  for (const obs::ParsedEvent& e : events) {
+    if (e.phase == 'C' && e.cat == "sim") {
+      tracks.insert(e.name);
+    }
+  }
+  for (const char* name : {"gpu0.nvlink", "node1.hostbus", "node0.ib1"}) {
+    EXPECT_EQ(tracks.count(name), 1u) << name;
+  }
 }
 
 TEST(Experiments, NodeCountsMatchPaper) {

@@ -33,6 +33,7 @@ std::vector<models::GradTensor> uniform_grads(std::size_t count,
     g.bytes = bytes_each;
     g.ready_fraction =
         static_cast<double>(i + 1) / static_cast<double>(count);
+    g.id = std::hash<std::string>{}(g.name);
     grads.push_back(g);
   }
   return grads;
@@ -85,6 +86,7 @@ TEST(FusionEngine, OversizedTensorGoesAlone) {
   big.name = "huge";
   big.bytes = 8 * 1024 * 1024;
   big.ready_fraction = 0.5;
+  big.id = std::hash<std::string>{}(big.name);
   grads.insert(grads.begin() + 1, big);
   // Re-sort readiness so the engine sees monotone arrival.
   grads[0].ready_fraction = 0.1;

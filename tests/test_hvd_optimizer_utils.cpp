@@ -103,7 +103,7 @@ TEST(GradUtils, EmaTracksAndSwaps) {
 }
 
 TEST(LinkDegradation, StretchesDurations) {
-  sim::Link link("l", sim::LinkSpec{1e9, 0.0});
+  sim::Link link(sim::LinkSpec{1e9, 0.0});
   EXPECT_NEAR(link.transfer(0.0, 1000000), 1e-3, 1e-12);
   link.degrade(3.0);
   link.reset();

@@ -74,7 +74,7 @@ TEST(Simulator, RejectsPastScheduling) {
 }
 
 TEST(LinkTest, IdleTransferTiming) {
-  Link link("l", LinkSpec{1e9, 1e-6});
+  Link link(LinkSpec{1e9, 1e-6});
   // 1 MB at 1 GB/s + 1 us latency = 1.001 ms.
   const SimTime done = link.transfer(0.0, 1000000);
   EXPECT_NEAR(done, 1.001e-3, 1e-9);
@@ -83,7 +83,7 @@ TEST(LinkTest, IdleTransferTiming) {
 }
 
 TEST(LinkTest, FifoSerialization) {
-  Link link("l", LinkSpec{1e9, 0.0});
+  Link link(LinkSpec{1e9, 0.0});
   const SimTime first = link.transfer(0.0, 1000000);   // ends at 1 ms
   const SimTime second = link.transfer(0.0, 1000000);  // queues behind
   EXPECT_NEAR(first, 1e-3, 1e-12);
@@ -94,7 +94,7 @@ TEST(LinkTest, FifoSerialization) {
 }
 
 TEST(LinkTest, ExplicitDurationOccupancy) {
-  Link link("l", LinkSpec{1e9, 0.0});
+  Link link(LinkSpec{1e9, 0.0});
   const SimTime done = link.occupy(1.0, 42, 0.5);
   EXPECT_DOUBLE_EQ(done, 1.5);
   EXPECT_DOUBLE_EQ(link.busy_time(), 0.5);
@@ -102,7 +102,7 @@ TEST(LinkTest, ExplicitDurationOccupancy) {
 }
 
 TEST(LinkTest, ResetClearsState) {
-  Link link("l", LinkSpec{1e9, 0.0});
+  Link link(LinkSpec{1e9, 0.0});
   link.transfer(0.0, 1000);
   link.reset();
   EXPECT_DOUBLE_EQ(link.busy_until(), 0.0);
@@ -111,8 +111,8 @@ TEST(LinkTest, ResetClearsState) {
 }
 
 TEST(LinkTest, RejectsBadSpec) {
-  EXPECT_THROW(Link("bad", LinkSpec{0.0, 0.0}), Error);
-  EXPECT_THROW(Link("bad", LinkSpec{1e9, -1.0}), Error);
+  EXPECT_THROW(Link(LinkSpec{0.0, 0.0}), Error);
+  EXPECT_THROW(Link(LinkSpec{1e9, -1.0}), Error);
 }
 
 TEST(Topology, LassenShape) {
@@ -148,10 +148,28 @@ TEST(Topology, LeastBusyIbAlternates) {
 TEST(Topology, ResetClearsEverything) {
   Cluster cluster(ClusterSpec::lassen(2));
   cluster.gpu_port(3).occupy(0.0, 10, 1.0);
-  ASSERT_TRUE(cluster.gpu_memory(0).allocate("x", 100));
+  cluster.host_bus(1).occupy(0.0, 20, 2.0);
+  cluster.ib_port(1, 1).degrade(2.0);
+  cluster.ib_port(1, 1).occupy(0.0, 30, 3.0);
   cluster.reset();
-  EXPECT_DOUBLE_EQ(cluster.gpu_port(3).busy_until(), 0.0);
-  EXPECT_EQ(cluster.gpu_memory(0).used(), 0u);
+  for (Link* link : {&cluster.gpu_port(3), &cluster.host_bus(1),
+                     &cluster.ib_port(1, 1)}) {
+    EXPECT_DOUBLE_EQ(link->busy_until(), 0.0);
+    EXPECT_DOUBLE_EQ(link->busy_time(), 0.0);
+    EXPECT_EQ(link->total_bytes(), 0u);
+    EXPECT_EQ(link->transfer_count(), 0u);
+  }
+  // Degradation is a property of the hardware and survives the reset.
+  EXPECT_DOUBLE_EQ(cluster.ib_port(1, 1).degradation(), 2.0);
+}
+
+TEST(Topology, LinksNameTheirCounterTracks) {
+  Cluster cluster(ClusterSpec::lassen(2));
+  EXPECT_EQ(cluster.gpu_port(0).name(), "gpu0.nvlink");
+  EXPECT_EQ(cluster.gpu_port(7).name(), "gpu7.nvlink");
+  EXPECT_EQ(cluster.host_bus(1).name(), "node1.hostbus");
+  EXPECT_EQ(cluster.ib_port(0, 1).name(), "node0.ib1");
+  EXPECT_EQ(cluster.ib_port(1, 0).name(), "node1.ib0");
 }
 
 TEST(GpuMemoryTest, AllocateReleaseBalance) {

@@ -11,8 +11,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -516,6 +519,176 @@ TEST(StragglerDetector, TinyFleetsNeverFlag) {
     EXPECT_TRUE(detector.record_step({0.1, 1.0}).empty());
   }
   EXPECT_TRUE(detector.report().clean());
+}
+
+/// The detector as it was first written, kept as the reference: one ring
+/// per rank, and both medians through a copy and a full sort. The flat-ring
+/// detector must agree with it bit for bit.
+class NaiveStragglerDetector {
+ public:
+  NaiveStragglerDetector(std::size_t num_ranks, StragglerConfig config)
+      : config_(config), ranks_(num_ranks) {
+    for (std::size_t r = 0; r < num_ranks; ++r) {
+      ranks_[r].info.rank = r;
+    }
+  }
+
+  std::vector<std::size_t> record_step(const std::vector<double>& per_rank) {
+    ++steps_;
+    std::vector<double> means(ranks_.size());
+    for (std::size_t r = 0; r < ranks_.size(); ++r) {
+      RankState& state = ranks_[r];
+      if (state.ring.empty()) {
+        state.ring.resize(config_.window, 0.0);
+      }
+      if (state.count == config_.window) {
+        state.sum -= state.ring[state.head];
+      } else {
+        ++state.count;
+      }
+      state.ring[state.head] = per_rank[r];
+      state.sum += per_rank[r];
+      state.head = (state.head + 1) % config_.window;
+      means[r] = state.sum / static_cast<double>(state.count);
+    }
+    std::vector<std::size_t> newly;
+    if (steps_ < config_.warmup_steps || ranks_.size() < 3) {
+      return newly;
+    }
+    const double med = sorted_median(means);
+    std::vector<double> dev(means.size());
+    for (std::size_t r = 0; r < means.size(); ++r) {
+      dev[r] = std::fabs(means[r] - med);
+    }
+    const double mad = sorted_median(dev);
+    for (std::size_t r = 0; r < ranks_.size(); ++r) {
+      RankState& state = ranks_[r];
+      const double excess = means[r] - med;
+      const double rel_excess = med > 0.0 ? excess / med : 0.0;
+      const double score = mad > 0.0 ? excess / mad : 0.0;
+      if (score > config_.k_mad && rel_excess > config_.min_rel_excess) {
+        ++state.streak;
+        state.info.mean_s = means[r];
+        state.info.median_s = med;
+        state.info.mad_s = mad;
+        state.info.score = score;
+        ++state.info.flagged_steps;
+        if (!state.flagged && state.streak >= config_.persistence) {
+          state.flagged = true;
+          state.info.first_flagged_step = static_cast<std::size_t>(steps_) - 1;
+          newly.push_back(r);
+        }
+      } else {
+        state.streak = 0;
+        state.flagged = false;
+      }
+    }
+    return newly;
+  }
+
+  StragglerReport report() const {
+    StragglerReport out;
+    out.ranks = ranks_.size();
+    out.steps = steps_;
+    for (const RankState& state : ranks_) {
+      if (state.flagged) {
+        out.flagged.push_back(state.info);
+      }
+    }
+    std::sort(out.flagged.begin(), out.flagged.end(),
+              [](const StragglerRank& a, const StragglerRank& b) {
+                return a.score > b.score;
+              });
+    return out;
+  }
+
+ private:
+  struct RankState {
+    std::vector<double> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    double sum = 0.0;
+    std::size_t streak = 0;
+    bool flagged = false;
+    StragglerRank info;
+  };
+
+  static double sorted_median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const double idx = 0.5 * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(idx);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = idx - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  }
+
+  StragglerConfig config_;
+  std::vector<RankState> ranks_;
+  std::uint64_t steps_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_report(const StragglerReport& want,
+                        const StragglerReport& got) {
+  EXPECT_EQ(got.ranks, want.ranks);
+  EXPECT_EQ(got.steps, want.steps);
+  ASSERT_EQ(got.flagged.size(), want.flagged.size());
+  for (std::size_t i = 0; i < want.flagged.size(); ++i) {
+    const StragglerRank& w = want.flagged[i];
+    const StragglerRank& g = got.flagged[i];
+    EXPECT_EQ(g.rank, w.rank);
+    EXPECT_TRUE(same_bits(g.mean_s, w.mean_s)) << "rank " << w.rank;
+    EXPECT_TRUE(same_bits(g.median_s, w.median_s)) << "rank " << w.rank;
+    EXPECT_TRUE(same_bits(g.mad_s, w.mad_s)) << "rank " << w.rank;
+    EXPECT_TRUE(same_bits(g.score, w.score)) << "rank " << w.rank;
+    EXPECT_EQ(g.flagged_steps, w.flagged_steps);
+    EXPECT_EQ(g.first_flagged_step, w.first_flagged_step);
+  }
+  EXPECT_EQ(got.to_json(), want.to_json());
+}
+
+TEST(StragglerDetector, FlatRingMatchesPerRankReferenceBitForBit) {
+  // 512 ranks of lognormal jitter for 100 steps: the window wraps six
+  // times, the first steps are warm-up, rank 37 is persistently slow and
+  // rank 300 flaps over the threshold (slow for 20 steps, healthy for 20).
+  constexpr std::size_t kRanks = 512;
+  StragglerConfig small_window;
+  small_window.window = 5;
+  small_window.warmup_steps = 3;
+  small_window.persistence = 2;
+  for (const StragglerConfig& cfg : {StragglerConfig{}, small_window}) {
+    StragglerDetector detector(kRanks, cfg);
+    NaiveStragglerDetector reference(kRanks, cfg);
+    Rng rng(7001);
+    std::vector<double> per_rank(kRanks);
+    std::size_t edges = 0;
+    for (std::size_t step = 0; step < 100; ++step) {
+      for (std::size_t r = 0; r < kRanks; ++r) {
+        double t = 0.39 * std::exp(0.07 * rng.normal());
+        if (r == 37) {
+          t *= 1.3;
+        }
+        if (r == 300 && (step / 20) % 2 == 0) {
+          t *= 2.0;
+        }
+        per_rank[r] = t;
+      }
+      const std::vector<std::size_t> want = reference.record_step(per_rank);
+      const std::vector<std::size_t> got = detector.record_step(per_rank);
+      ASSERT_EQ(got, want) << "step " << step;
+      edges += got.size();
+      if (step % 10 == 9) {
+        expect_same_report(reference.report(), detector.report());
+      }
+    }
+    expect_same_report(reference.report(), detector.report());
+    // The stream really exercises flagging: rank 37 once, rank 300 on
+    // each of its three slow spells.
+    EXPECT_EQ(edges, 4u);
+  }
 }
 
 // Acceptance: a rank perturbed via --perturb-rank at 128 simulated GPUs is
